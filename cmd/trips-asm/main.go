@@ -95,7 +95,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	core.FlushCaches()
+	if err := core.FlushCaches(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("halted after %d cycles, %d blocks committed, IPC %.2f\n",
 		res.Cycles, res.CommittedBlocks, res.IPC)
 	for r := 0; r < isa.NumArchRegs; r++ {

@@ -71,7 +71,9 @@ func run(r4 uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	core.FlushCaches()
+	if err := core.FlushCaches(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("R4 = %d:\n", r4)
 	if r4 != 0 {

@@ -2,7 +2,9 @@ package chip
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"trips/internal/eval"
 	"trips/internal/isa"
@@ -261,5 +263,34 @@ func TestDualCoreWorkloads(t *testing.T) {
 	r0, r1 := c.Cores[0].Result(), c.Cores[1].Result()
 	if r0.CommittedBlocks == 0 || r1.CommittedBlocks == 0 {
 		t.Errorf("cores committed %d / %d blocks", r0.CommittedBlocks, r1.CommittedBlocks)
+	}
+}
+
+// TestCoreFlushCachesOnChipCoreReturns pins the fix for Core.FlushCaches
+// spinning on a chip core: the core's own backend handle does not tick the
+// OCN (the chip does), so once the write-backs of vadd's dirty lines fill a
+// port queue nothing can drain it. The call must give up with an error, not
+// retry for ever, and must leave the chip's clock where the run ended.
+func TestCoreFlushCachesOnChipCoreReturns(t *testing.T) {
+	c := chipScenario(t, "vadd", func(cfg *Config) {})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	end := c.Cycle()
+	done := make(chan error, 1)
+	go func() { done <- c.Cores[0].FlushCaches() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("FlushCaches on a chip core reported success though nothing ticks the OCN for it")
+		}
+		if !strings.Contains(err.Error(), "FlushCaches") {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("FlushCaches on a chip core is still spinning after 30 s")
+	}
+	if c.Cycle() != end || c.Mem.Cycle() != end {
+		t.Fatalf("flush attempt moved the clocks: chip %d, memory %d, run ended at %d", c.Cycle(), c.Mem.Cycle(), end)
 	}
 }

@@ -138,7 +138,9 @@ func (t *trips) load(payload []byte) error {
 // finish drains and summarizes a completed run (shared by RunTRIPS and the
 // RunSampled profiling pass).
 func (t *trips) finish(res proc.Result, lagStats *proc.LagStats) (*TRIPSResult, error) {
-	t.core.FlushCaches()
+	if err := t.core.FlushCaches(); err != nil {
+		return nil, fmt.Errorf("eval: %s: %w", t.name, err)
+	}
 	if t.sys != nil {
 		// Leak assertion: a completed run must have drained the OCN pending
 		// tables — every transaction (split or not) saw its response. A

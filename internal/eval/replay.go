@@ -123,7 +123,9 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	if t.core.Done() {
 		// Mirror a real run's epilogue: the cache flush and NUCA drain emit
 		// traced writeback traffic that belongs to the window.
-		t.core.FlushCaches()
+		if err := t.core.FlushCaches(); err != nil {
+			return nil, fmt.Errorf("eval: replay: %w", err)
+		}
 		if t.sys != nil {
 			t.sys.Flush()
 		}

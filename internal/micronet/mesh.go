@@ -78,8 +78,8 @@ type router[T Routable] struct {
 	inBuf  [numDirs]T
 	inFull [numDirs]bool
 	occ    int8 // occupied entries of inBuf (fast skip for idle routers)
-	// listed marks membership in the mesh's occupied-router list (see
-	// Mesh.occRouters); it may lag occ going to zero until the next Tick
+	// listed marks membership in the mesh's resident-router list (see
+	// Mesh.occRouters); it may lag the router emptying until the next Tick
 	// compacts the list.
 	listed bool
 	outQ   Queue[T] // delivered messages awaiting the tile
@@ -105,13 +105,24 @@ type Mesh[T Routable] struct {
 	// Propagate walks only those. Each edge latches into its own dedicated
 	// (router, input-port) buffer, so the walk order cannot affect state.
 	busyEdges []*meshEdge[T]
-	// occRouters tracks routers with occupied input buffers, so Tick visits
-	// only those instead of scanning the grid. Routing decisions, claims,
-	// and delivery caps are all per-router, and each output link has exactly
-	// one source router, so the visit order cannot affect state (the same
-	// argument as busyEdges). Stale entries (occ back to zero) are dropped
-	// at the next Tick.
+	// occRouters tracks routers holding a message — an occupied input buffer
+	// or a delivery awaiting Pop — so Tick and the horizon queries visit only
+	// those instead of scanning the grid; with busyEdges it is the mesh's
+	// resident index. Routing decisions, claims, and delivery caps are all
+	// per-router, and each output link has exactly one source router, so the
+	// visit order cannot affect state (the same argument as busyEdges). Stale
+	// entries (emptied since) are skipped by readers and dropped at the next
+	// Tick.
 	occRouters []*router[T]
+	// transit memoizes the last transitSet, keyed on (tickCount, injected):
+	// in the fully latched state it describes, only Tick, SkipTicks and
+	// Inject can change the mesh (Propagate and Pop have nothing to move),
+	// and each of them moves one of the two counters. A horizon query and
+	// the SkipTicks that acts on it therefore share one resident walk and one
+	// window simulation. LoadState and RewindTicks drop it explicitly. Only a
+	// mesh that is asked for a transit bound carries one (the OCN, not the
+	// core's operand networks).
+	transit *transitMemo[T]
 	// edgeOf[d][r][c] locates the edge record for links[d][r][c].
 	edgeOf [numDirs][][]*meshEdge[T]
 	// DeliveryCap bounds messages delivered to one tile per cycle
@@ -293,6 +304,25 @@ func (m *Mesh[T]) Pop(at Coord) {
 	}
 }
 
+// PopDelivery consumes the oldest delivered message at the first node, in
+// row-major order, that holds one: a client that owns every node drains the
+// mesh with it in the order a grid scan of Deliver/Pop would, at the cost of
+// the resident routers only.
+func (m *Mesh[T]) PopDelivery() (msg T, ok bool) {
+	if m.pendingDeliv == 0 {
+		return msg, false
+	}
+	var first *router[T]
+	for _, rt := range m.occRouters {
+		if !rt.outQ.Empty() && (first == nil || rt.at.Row < first.at.Row ||
+			rt.at.Row == first.at.Row && rt.at.Col < first.at.Col) {
+			first = rt
+		}
+	}
+	m.pendingDeliv--
+	return first.outQ.Pop(), true
+}
+
 // Tick runs one routing cycle: every router arbitrates its buffered
 // messages onto output links (or local delivery), round-robin per output
 // port. Call once per cycle before Propagate. An idle mesh (no buffered
@@ -308,7 +338,7 @@ func (m *Mesh[T]) Tick() {
 		if rt.occ > 0 {
 			m.tickRouter(rt, off)
 		}
-		if rt.occ > 0 {
+		if rt.occ > 0 || !rt.outQ.Empty() {
 			kept = append(kept, rt)
 		} else {
 			rt.listed = false
@@ -463,16 +493,13 @@ func (m *Mesh[T]) soloTransit() (*router[T], Dir, bool) {
 	if m.bufOcc != 1 || m.linkBusy != 0 || m.pendingDeliv != 0 {
 		return nil, Local, false
 	}
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			rt := &m.routers[r][c]
-			if rt.occ == 0 {
-				continue
-			}
-			for d := North; d < numDirs; d++ {
-				if rt.inFull[d] {
-					return rt, d, true
-				}
+	for _, rt := range m.occRouters {
+		if rt.occ == 0 {
+			continue
+		}
+		for d := North; d < numDirs; d++ {
+			if rt.inFull[d] {
+				return rt, d, true
 			}
 		}
 	}
@@ -508,30 +535,55 @@ type transitMsg[T Routable] struct {
 	dest Coord
 }
 
-// transitSet collects every resident message when all of them are latched in
-// router input buffers — nothing on links, nothing awaiting Pop — and there
-// are between 1 and maxTransitSet of them. In that state each message's
+// transitMemo is a transit set with its window and the (tickCount, injected)
+// it was computed at; see Mesh.transit.
+type transitMemo[T Routable] struct {
+	tick     int
+	injected uint64
+	set      [maxTransitSet]transitMsg[T]
+	n        int
+	window   int64
+}
+
+// Latched reports, in O(1), whether every resident message sits in a router
+// input buffer — nothing on links, nothing awaiting Pop — and there are
+// between 1 and maxTransitSet of them: exactly the states TransitBoundMulti
+// can bound and SkipTicks can replay.
+func (m *Mesh[T]) Latched() bool {
+	return m.linkBusy == 0 && m.pendingDeliv == 0 && m.bufOcc > 0 && m.bufOcc <= maxTransitSet
+}
+
+// transitSet collects every resident message of a Latched mesh, with the
+// set's conflict-free window (transitWindow). In that state each message's
 // future is governed only by dimension-ordered routing and arbitration
-// between the collected messages themselves.
-func (m *Mesh[T]) transitSet() (set [maxTransitSet]transitMsg[T], n int, ok bool) {
-	if m.linkBusy != 0 || m.pendingDeliv != 0 || m.bufOcc == 0 || m.bufOcc > maxTransitSet {
-		return set, 0, false
+// between the collected messages themselves. The result is served from the
+// memo when the mesh has not moved since the last call (see Mesh.transit).
+func (m *Mesh[T]) transitSet() (set []transitMsg[T], window int64, ok bool) {
+	if !m.Latched() {
+		return nil, 0, false
 	}
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			rt := &m.routers[r][c]
+	t := m.transit
+	if t == nil || t.tick != m.tickCount || t.injected != m.injected {
+		if t == nil {
+			t = &transitMemo[T]{}
+			m.transit = t
+		}
+		t.n = 0
+		for _, rt := range m.occRouters {
 			if rt.occ == 0 {
 				continue
 			}
 			for d := North; d <= Local; d++ {
 				if rt.inFull[d] {
-					set[n] = transitMsg[T]{msg: rt.inBuf[d], pos: rt.at, in: d, dest: rt.inBuf[d].Dest()}
-					n++
+					t.set[t.n] = transitMsg[T]{msg: rt.inBuf[d], pos: rt.at, in: d, dest: rt.inBuf[d].Dest()}
+					t.n++
 				}
 			}
 		}
+		t.window = transitWindow(t.set[:t.n], m.Rows, m.Cols)
+		t.tick, t.injected = m.tickCount, m.injected
 	}
-	return set, n, true
+	return t.set[:t.n], t.window, true
 }
 
 // transitWindow returns the number of future Ticks over which every message
@@ -551,6 +603,9 @@ func transitWindow[T Routable](set []transitMsg[T], rows, cols int) int64 {
 	}
 	if w <= 0 {
 		return 0
+	}
+	if len(set) == 1 {
+		return int64(w) // a solo message has nobody to contend with
 	}
 	var pos [maxTransitSet]Coord
 	for i, t := range set {
@@ -583,14 +638,8 @@ func transitWindow[T Routable](set []transitMsg[T], rows, cols int) int64 {
 // must step the bound-th Tick. ok=false when the mesh is empty, a message is
 // mid-link or awaiting Pop, or more than maxTransitSet messages are resident.
 func (m *Mesh[T]) TransitBoundMulti() (int64, bool) {
-	if m.bufOcc == 1 {
-		return m.TransitBound() // solo fast path: no window simulation needed
-	}
-	set, n, ok := m.transitSet()
-	if !ok {
-		return 0, false
-	}
-	return transitWindow(set[:n], m.Rows, m.Cols) + 1, true
+	_, w, ok := m.transitSet()
+	return w + 1, ok
 }
 
 // SkipTicks advances the mesh by n cycles without per-cycle routing, replaying
@@ -605,31 +654,32 @@ func (m *Mesh[T]) TransitBoundMulti() (int64, bool) {
 // Clock-warping callers rely on this replay being bit-exact.
 func (m *Mesh[T]) SkipTicks(n int64) {
 	start := int64(m.tickCount)
-	m.tickCount += int(n)
-	if n <= 0 || m.bufOcc == 0 && m.linkBusy == 0 && m.pendingDeliv == 0 {
+	if n <= 0 || m.Quiet() {
+		m.tickCount += int(n)
 		return
 	}
-	set, nset, ok := m.transitSet()
+	set, w, ok := m.transitSet()
 	if !ok {
 		panic(fmt.Sprintf("micronet: %s: SkipTicks(%d) on a mesh that is not fully buffer-latched (bufOcc=%d linkBusy=%d pendingDeliv=%d)",
 			m.Name, n, m.bufOcc, m.linkBusy, m.pendingDeliv))
 	}
-	if w := transitWindow(set[:nset], m.Rows, m.Cols); w < n {
+	if w < n {
 		panic(fmt.Sprintf("micronet: %s: SkipTicks(%d) exceeds the %d-message conflict-free transit window (%d)",
-			m.Name, n, nset, w))
+			m.Name, n, len(set), w))
 	}
+	m.tickCount += int(n)
 	// Lift every message out of its buffer, then replay each trajectory n
 	// hops. The window check above guarantees the trajectories are
 	// link-disjoint per Tick and deliver nothing, so per-message replay in
 	// any order reproduces exactly the state n stepped Ticks would build.
 	var zero T
-	for _, t := range set[:nset] {
+	for _, t := range set {
 		rt := &m.routers[t.pos.Row][t.pos.Col]
 		rt.inBuf[t.in] = zero
 		rt.inFull[t.in] = false
 		rt.occ--
 	}
-	for _, t := range set[:nset] {
+	for k, t := range set {
 		msg, pos, in := t.msg, t.pos, t.in
 		tr, tracked := any(msg).(Tracked)
 		for i := int64(0); i < n; i++ {
@@ -656,7 +706,12 @@ func (m *Mesh[T]) SkipTicks(n int64) {
 		nrt.inFull[in] = true
 		nrt.occ++
 		m.noteOcc(nrt)
+		set[k].pos, set[k].in = pos, in
 	}
+	// The moved set is the memo's own storage: n hops along a conflict-free
+	// window leave the same messages with exactly n Ticks less of it, so the
+	// horizon query that follows a warp needs no new walk either.
+	m.transit.tick, m.transit.window = m.tickCount, w-n
 }
 
 // RewindTicks moves the arbitration clock backwards by n cycles. It is the
@@ -674,6 +729,7 @@ func (m *Mesh[T]) RewindTicks(n int64) {
 			m.Name, n, m.bufOcc, m.linkBusy, m.pendingDeliv))
 	}
 	m.tickCount -= int(n)
+	m.transit = nil
 }
 
 // MinTransit returns a lower bound on the number of Ticks a message injected
@@ -698,21 +754,17 @@ func (m *Mesh[T]) MinTransit(from, to Coord) int64 {
 // contended states: contention delays messages, so per-message Manhattan
 // remainders stay valid lower bounds no matter how arbitration resolves.
 func (m *Mesh[T]) VisitResidents(fn func(msg T, at Coord)) {
-	if m.bufOcc == 0 && m.linkBusy == 0 && m.pendingDeliv == 0 {
-		return
-	}
 	if m.bufOcc > 0 || m.pendingDeliv > 0 {
-		for r := 0; r < m.Rows; r++ {
-			for c := 0; c < m.Cols; c++ {
-				rt := &m.routers[r][c]
+		for _, rt := range m.occRouters {
+			if rt.occ > 0 {
 				for d := North; d <= Local; d++ {
 					if rt.inFull[d] {
 						fn(rt.inBuf[d], rt.at)
 					}
 				}
-				for i := 0; i < rt.outQ.Len(); i++ {
-					fn(rt.outQ.At(i), rt.at)
-				}
+			}
+			for i := 0; i < rt.outQ.Len(); i++ {
+				fn(rt.outQ.At(i), rt.at)
 			}
 		}
 	}

@@ -102,6 +102,7 @@ func (m *Mesh[T]) LoadState(r *ckpt.Reader, dec func(*ckpt.Reader) T) {
 	m.bufOcc, m.linkBusy, m.pendingDeliv = 0, 0, 0
 	m.busyEdges = m.busyEdges[:0]
 	m.occRouters = m.occRouters[:0]
+	m.transit = nil
 	var zero T
 	for row := 0; row < m.Rows; row++ {
 		for c := 0; c < m.Cols; c++ {
@@ -119,7 +120,7 @@ func (m *Mesh[T]) LoadState(r *ckpt.Reader, dec func(*ckpt.Reader) T) {
 			}
 			rt.outQ.LoadState(r, dec)
 			m.pendingDeliv += rt.outQ.Len()
-			if rt.occ > 0 {
+			if rt.occ > 0 || !rt.outQ.Empty() {
 				m.noteOcc(rt)
 			}
 		}

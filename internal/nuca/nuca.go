@@ -321,23 +321,28 @@ type System struct {
 	lagCache       int64
 	gate           func(owner int, effectCycle int64)
 
-	// Per-transaction response deadlines for owned-port transactions: a
-	// lower bound (backend cycles) on the tick at which the transaction's
-	// response can dispatch at its port. Seeded at drain from the
-	// per-(bank, port) distance table, ratcheted upward as the transaction's
-	// slow path reveals itself (MSHR fetch, SDC acceptance), and checked
-	// against the actual dispatch cycle before deletion. Unowned (DMA)
+	// The deadline book: per-transaction response deadlines for owned-port
+	// transactions, each a lower bound (backend cycles) on the tick at which
+	// the transaction's response can dispatch at its port. Seeded at drain
+	// from the per-(bank, port) distance table, ratcheted upward as the
+	// transaction's slow path reveals itself (MSHR fetch, SDC acceptance), and
+	// checked against the actual dispatch cycle before release. Unowned (DMA)
 	// transactions are never tracked, keeping the DMA hot path untouched.
-	respDeadline map[int]rdEntry
-	deadlineAt   int64 // memo key for deadlineFor (-1: dirty)
-	deadlineFor  [maxOwners]int64
+	// respDeadline finds an entry by transaction id (dispatch, ratchets);
+	// rdByOwner holds the same entries densely per owner, so an owner's
+	// minimum folds over its own outstanding transactions only; rdFree
+	// recycles entries like the ocnMsg pool. Only Tick and LoadState add,
+	// raise or release entries, so the in-mesh tightening pass runs once per
+	// backend cycle (tightenedAt).
+	respDeadline map[int]*rdEntry
+	rdByOwner    [maxOwners][]*rdEntry
+	rdFree       []*rdEntry
+	tightenedAt  int64
 
-	// Horizon memoization: Quiet and NextEventCycle are consulted together
-	// on every coordinator iteration; both derive from one scan of the
-	// deadline sources, cached per backend cycle.
-	horizonAt    int64
-	horizonQuiet bool
-	horizonNEC   int64
+	// meshBound memoizes the mesh's term of NextEventCycle for backend cycle
+	// meshAt (see meshHorizon).
+	meshAt    int64
+	meshBound int64
 
 	// Stats.
 	Requests, LineTransfers uint64
@@ -375,11 +380,47 @@ func (s *System) mtPush(mt *mtState, m *ocnMsg) {
 	s.mtStaged++
 }
 
-// rdEntry is one tracked transaction's response deadline: the bound itself
-// and the owning port (whose distance table prices waiter re-deadlines).
+// rdEntry is one tracked transaction's response deadline: the bound itself,
+// the owning port (whose distance table prices waiter re-deadlines), and the
+// entry's position in its owner's dense list.
 type rdEntry struct {
+	id   int
 	at   int64
 	port *ntPort
+	slot int
+}
+
+// trackDeadline enters a transaction into the deadline book. An entry
+// restored into a system whose ports carry no owners (a bounded-lag
+// checkpoint resumed under the sequential stepper) is kept by id alone:
+// nobody asks for its owner's minimum, but it is still checked at dispatch
+// and written back by SaveState.
+func (s *System) trackDeadline(id int, at int64, port *ntPort) {
+	var e *rdEntry
+	if n := len(s.rdFree); n > 0 {
+		e, s.rdFree = s.rdFree[n-1], s.rdFree[:n-1]
+	} else {
+		e = &rdEntry{}
+	}
+	*e = rdEntry{id: id, at: at, port: port, slot: -1}
+	if port.owner >= 0 {
+		e.slot = len(s.rdByOwner[port.owner])
+		s.rdByOwner[port.owner] = append(s.rdByOwner[port.owner], e)
+	}
+	s.respDeadline[id] = e
+}
+
+// releaseDeadline removes a dispatched transaction's entry, filling its slot
+// with the owner's last entry.
+func (s *System) releaseDeadline(e *rdEntry) {
+	if e.slot >= 0 {
+		list := s.rdByOwner[e.port.owner]
+		last := list[len(list)-1]
+		list[e.slot], last.slot = last, e.slot
+		s.rdByOwner[e.port.owner] = list[:len(list)-1]
+	}
+	delete(s.respDeadline, e.id)
+	s.rdFree = append(s.rdFree, e)
 }
 
 type sdcJob struct {
@@ -406,9 +447,9 @@ func New(cfg Config) *System {
 		ports:        make(map[string]*ntPort),
 		pending:      make(map[int]pending),
 		pendSplit:    make(map[int]*pending),
-		respDeadline: make(map[int]rdEntry),
-		horizonAt:    -1,
-		deadlineAt:   -1,
+		respDeadline: make(map[int]*rdEntry),
+		meshAt:       -1,
+		tightenedAt:  -1,
 	}
 	s.mesh.DeliveryCap = 2
 	mode := ModeL2
@@ -520,59 +561,20 @@ func (s *System) OutstandingFor(owner int) int {
 // owning core's port — the per-owner aggregation of the per-transaction
 // deadlines, which a bounded-lag coordinator may use directly as a stride
 // horizon in place of one-cycle lockstep. Returns horizonNever (MaxInt64)
-// when the owner has no outstanding transactions. Memoized per backend cycle
-// alongside the horizon scan; HorizonDirty invalidates.
+// when the owner has no outstanding transactions. Costs the owner's
+// outstanding transactions plus, once per backend cycle, the resident
+// responses (tightenDeadlines). Staged (undrained) port transactions are
+// priced on the fly from their drain stamp plus round-trip transit, mirroring
+// the drain-time seeding without registering ids early.
 func (s *System) ResponseDeadlineFor(owner int) int64 {
-	if s.deadlineAt != s.cycle {
-		s.scanDeadlines()
+	s.tightenDeadlines()
+	d := horizonNever
+	for _, e := range s.rdByOwner[owner] {
+		d = micronet.MinHorizon(d, e.at)
 	}
-	return s.deadlineFor[owner]
-}
-
-// scanDeadlines recomputes the per-owner deadline minima. Before folding, it
-// tightens tracked per-transaction deadlines from the live state whose
-// timing is now better known than at seed time: responses resident in the
-// mesh cannot dispatch sooner than their remaining Manhattan transit (the
-// multi-message earliest-arrival bound — position-now implies a permanent
-// floor, so ratcheting the stored entry is sound under any later
-// contention), and responses in multi-flit serialization dispatch exactly at
-// their readyAt. Staged (undrained) port transactions are priced on the fly
-// from their drain stamp plus round-trip transit, mirroring the drain-time
-// seeding without registering ids early.
-func (s *System) scanDeadlines() {
-	for i := range s.deadlineFor {
-		s.deadlineFor[i] = horizonNever
-	}
-	if len(s.respDeadline) > 0 {
-		s.mesh.VisitResidents(func(m *ocnMsg, at micronet.Coord) {
-			if m.kind != mkResp {
-				return
-			}
-			if e, ok := s.respDeadline[m.id]; ok {
-				if nd := s.cycle + int64(at.Manhattan(m.dst)); nd > e.at {
-					e.at = nd
-					s.respDeadline[m.id] = e
-				}
-			}
-		})
-		for _, d := range s.delayed {
-			if d.msg.kind != mkResp {
-				continue
-			}
-			if e, ok := s.respDeadline[d.msg.id]; ok && d.readyAt > e.at {
-				e.at = d.readyAt
-				s.respDeadline[d.msg.id] = e
-			}
-		}
-		for _, e := range s.respDeadline {
-			if e.at < s.deadlineFor[e.port.owner] {
-				s.deadlineFor[e.port.owner] = e.at
-			}
-		}
-	}
-	if s.stagedByOwner[0] > 0 || s.stagedByOwner[1] > 0 {
+	if s.stagedByOwner[owner] > 0 {
 		for _, p := range s.order {
-			if p.owner < 0 || p.outQ.Empty() {
+			if p.owner != owner {
 				continue
 			}
 			for i := 0; i < p.outQ.Len(); i++ {
@@ -582,13 +584,46 @@ func (s *System) scanDeadlines() {
 					t = s.cycle
 				}
 				mt := s.mtGrid[it.msg.dst.Row][it.msg.dst.Col]
-				if d := t + 1 + 2*p.mtDist[mt.index]; d < s.deadlineFor[p.owner] {
-					s.deadlineFor[p.owner] = d
-				}
+				d = micronet.MinHorizon(d, t+1+2*p.mtDist[mt.index])
 			}
 		}
 	}
-	s.deadlineAt = s.cycle
+	return d
+}
+
+// tightenDeadlines ratchets tracked deadlines from the live state whose
+// timing is now better known than at seed time: responses resident in the
+// mesh cannot dispatch sooner than their remaining Manhattan transit (the
+// multi-message earliest-arrival bound — position-now implies a permanent
+// floor, so ratcheting the stored entry is sound under any later
+// contention), and responses in multi-flit serialization dispatch exactly at
+// their readyAt.
+func (s *System) tightenDeadlines() {
+	if s.tightenedAt == s.cycle {
+		return
+	}
+	s.tightenedAt = s.cycle
+	if len(s.respDeadline) == 0 {
+		return
+	}
+	s.mesh.VisitResidents(func(m *ocnMsg, at micronet.Coord) {
+		if m.kind == mkResp {
+			s.raiseTo(m.id, s.cycle+int64(at.Manhattan(m.dst)))
+		}
+	})
+	for _, d := range s.delayed {
+		if d.msg.kind == mkResp {
+			s.raiseTo(d.msg.id, d.readyAt)
+		}
+	}
+}
+
+// raiseTo ratchets a tracked transaction's deadline up to nd. Untracked ids
+// (unowned DMA traffic) are skipped; deadlines only ever move up.
+func (s *System) raiseTo(id int, nd int64) {
+	if e := s.respDeadline[id]; e != nil && nd > e.at {
+		e.at = nd
+	}
 }
 
 // CrossCoreLag returns L, the bounded-lag visibility horizon: a core whose
@@ -688,25 +723,12 @@ func (s *System) Tick() {
 	s.delayed = kept
 
 	s.mesh.Tick()
-	// Drain deliveries at every node (skipped outright on cycles where the
-	// mesh delivered nothing — the common case on a memory-idle OCN).
-	if s.mesh.PendingDeliveries() > 0 {
-		for r := 0; r < Rows; r++ {
-			for c := 0; c < Cols; c++ {
-				at := micronet.Coord{Row: r, Col: c}
-				for {
-					msg, ok := s.mesh.Deliver(at)
-					if !ok {
-						break
-					}
-					s.mesh.Pop(at)
-					if msg.flits > 1 {
-						s.delayed = append(s.delayed, delayedMsg{msg: msg, readyAt: s.cycle + int64(msg.flits-1)})
-					} else {
-						s.dispatch(msg)
-					}
-				}
-			}
+	// Drain deliveries, node by node in row-major order.
+	for msg, ok := s.mesh.PopDelivery(); ok; msg, ok = s.mesh.PopDelivery() {
+		if msg.flits > 1 {
+			s.delayed = append(s.delayed, delayedMsg{msg: msg, readyAt: s.cycle + int64(msg.flits-1)})
+		} else {
+			s.dispatch(msg)
 		}
 	}
 	// SDC completions. Filtered in place: jobs wait out the full SDRAM
@@ -789,7 +811,7 @@ func (s *System) Tick() {
 					// two-cycle safety margin CrossCoreLag documents. Slow
 					// paths (MSHR miss, SDRAM) ratchet the bound upward later.
 					mt := s.mtGrid[it.msg.dst.Row][it.msg.dst.Col]
-					s.respDeadline[id] = rdEntry{at: s.cycle + 2*p.mtDist[mt.index], port: p}
+					s.trackDeadline(id, s.cycle+2*p.mtDist[mt.index], p)
 				} else {
 					s.stagedUnowned--
 				}
@@ -808,42 +830,29 @@ func (s *System) Tick() {
 	s.inTick = false
 }
 
-// horizon computes quiescence and the next-event deadline in one scan,
-// memoized per backend cycle: coordinators consult Quiet and NextEventCycle
-// together on every iteration, and both derive from the same deadline
-// sources. The cache is keyed on s.cycle (every Tick or Warp moves it);
-// callers that stage new submissions without ticking — bounded-lag core
-// strides — must call HorizonDirty before re-reading.
-func (s *System) horizon() (bool, int64) {
-	if s.horizonAt == s.cycle {
-		return s.horizonQuiet, s.horizonNEC
-	}
-	// All outstanding OCN work is held behind computable drain deadlines
-	// rather than boolean busy flags: resident messages whose trajectories
-	// are provably conflict-free advance one hop per tick until the bound
-	// (mesh.TransitBoundMulti), staged injections in MT/port output queues
-	// drain once the backend clock passes their stamp, and multi-flit
-	// serializations and SDRAM jobs carry explicit readyAt stamps. Only a
-	// mesh state whose future arbitration must be resolved by per-cycle
-	// routing (a message mid-link, an unpopped delivery, contending
-	// trajectories past their window) makes the system non-quiet.
-	quiet := true
+// Cycle returns the backend clock. The backend runs one tick ahead of the
+// chip cycle whose step it services: between ticks, Cycle() is the index of
+// the next chip cycle the memory system will execute.
+func (s *System) Cycle() int64 { return s.cycle }
+
+// Quiet implements proc.EventHorizon: every resident piece of OCN work has a
+// computable drain deadline (see NextEventCycle), so clock-warping is sound.
+// Only a mesh state whose future arbitration must be resolved by per-cycle
+// routing — a message mid-link, an unpopped delivery, more residents than the
+// transit analysis takes — makes the system non-quiet, and the mesh's
+// occupancy counters tell that in O(1): coordinators ask on every backend
+// cycle and ask for the deadline itself only when the answer is yes.
+func (s *System) Quiet() bool { return s.mesh.Quiet() || s.mesh.Latched() }
+
+// NextEventCycle implements proc.EventHorizon: the earliest drain deadline
+// across delayed multi-flit deliveries, in-flight SDRAM jobs, staged MT/port
+// injections (which drain once the backend clock passes their stamp), and
+// in-transit messages, in the backend cycle domain (serviced during the
+// owner's step one cycle earlier). Even when Quiet is false the result is a
+// sound next-event floor via the mesh's earliest-arrival bound; warping
+// remains gated on Quiet.
+func (s *System) NextEventCycle() int64 {
 	h := horizonNever
-	if !s.mesh.Quiet() {
-		if t, ok := s.mesh.TransitBoundMulti(); ok {
-			h = micronet.MinHorizon(h, s.cycle+t)
-		} else {
-			// Contended trajectories must be resolved by per-cycle routing,
-			// so warping stays unsound (quiet stays false) — but the earliest
-			// possible arrival still floors the next event: no delivery can
-			// surface before it, so coordinators waiting on this domain need
-			// not treat the horizon as "now".
-			quiet = false
-			if ea := s.mesh.EarliestArrival(); ea != micronet.HorizonNever {
-				h = micronet.MinHorizon(h, s.cycle+ea)
-			}
-		}
-	}
 	for _, d := range s.delayed {
 		h = micronet.MinHorizon(h, d.readyAt)
 	}
@@ -852,8 +861,8 @@ func (s *System) horizon() (bool, int64) {
 			h = micronet.MinHorizon(h, j.readyAt)
 		}
 	}
-	if s.mtStaged > 0 && s.cycle+1 < h {
-		h = s.cycle + 1
+	if s.mtStaged > 0 {
+		h = micronet.MinHorizon(h, s.cycle+1)
 	}
 	if s.stagedUnowned > 0 || s.stagedByOwner[0] > 0 || s.stagedByOwner[1] > 0 {
 		for _, p := range s.order {
@@ -866,46 +875,34 @@ func (s *System) horizon() (bool, int64) {
 			if d < s.cycle+1 {
 				d = s.cycle + 1
 			}
-			if d < h {
-				h = d
-			}
+			h = micronet.MinHorizon(h, d)
 		}
 	}
-	s.horizonAt, s.horizonQuiet, s.horizonNEC = s.cycle, quiet, h
-	return quiet, h
-}
-
-// HorizonDirty invalidates the memoized Quiet/NextEventCycle scan and the
-// per-owner deadline aggregation. Tick and Warp invalidate implicitly (both
-// caches are keyed on the backend cycle); bounded-lag coordinators call this
-// after core strides stage new submissions without moving the backend clock.
-func (s *System) HorizonDirty() {
-	s.horizonAt = -1
-	s.deadlineAt = -1
-}
-
-// Cycle returns the backend clock. The backend runs one tick ahead of the
-// chip cycle whose step it services: between ticks, Cycle() is the index of
-// the next chip cycle the memory system will execute.
-func (s *System) Cycle() int64 { return s.cycle }
-
-// Quiet implements proc.EventHorizon: every resident piece of OCN work has
-// a computable drain deadline (see horizon), so clock-warping is sound.
-func (s *System) Quiet() bool {
-	q, _ := s.horizon()
-	return q
-}
-
-// NextEventCycle implements proc.EventHorizon: the earliest drain deadline
-// across delayed multi-flit deliveries, in-flight SDRAM jobs, in-transit
-// messages, and staged MT/port injections, in the backend cycle domain
-// (serviced during the owner's step one cycle earlier). Even when Quiet is
-// false — contended mesh trajectories needing per-cycle routing — the result
-// is a sound next-event floor via the mesh's earliest-arrival bound; warping
-// remains gated on Quiet.
-func (s *System) NextEventCycle() int64 {
-	_, h := s.horizon()
+	// The mesh is asked last, and not at all when the sources above already
+	// pin the horizon at cycle+1: no in-flight message surfaces sooner (only
+	// an unpopped delivery bounds lower), and no caller can warp to there.
+	if !s.mesh.Quiet() && (h > s.cycle+1 || s.mesh.PendingDeliveries() > 0) {
+		h = micronet.MinHorizon(h, s.meshHorizon())
+	}
 	return h
+}
+
+// meshHorizon is the mesh's term of NextEventCycle: the end of the resident
+// messages' conflict-free replay window when there is one, else the earliest
+// possible arrival — no delivery can surface before it, so coordinators
+// waiting on this domain need not treat the horizon as "now". The mesh moves
+// only with Tick and Warp, so its residents are walked once per backend cycle
+// however often the coordinator asks.
+func (s *System) meshHorizon() int64 {
+	if s.meshAt != s.cycle {
+		s.meshAt, s.meshBound = s.cycle, horizonNever
+		if t, ok := s.mesh.TransitBoundMulti(); ok {
+			s.meshBound = s.cycle + t
+		} else if ea := s.mesh.EarliestArrival(); ea != micronet.HorizonNever {
+			s.meshBound = s.cycle + ea
+		}
+	}
+	return s.meshBound
 }
 
 // Warp implements proc.EventHorizon: advance the clock and replay the mesh's
@@ -958,11 +955,11 @@ func (s *System) dispatch(msg *ocnMsg) {
 		}
 		s.sdcQ[sdc] = append(s.sdcQ[sdc], sdcJob{msg: msg, readyAt: s.cycle + int64(s.cfg.SDRAMLatency)})
 	case mkResp:
-		if e, ok := s.respDeadline[msg.id]; ok {
+		if e := s.respDeadline[msg.id]; e != nil {
 			if s.cycle < e.at {
 				panic(fmt.Sprintf("nuca: response %d dispatched at cycle %d, before its computed deadline %d", msg.id, s.cycle, e.at))
 			}
-			delete(s.respDeadline, msg.id)
+			s.releaseDeadline(e)
 		}
 		if pd, ok := s.pendSplit[msg.id]; ok {
 			delete(s.pendSplit, msg.id)
@@ -1086,17 +1083,13 @@ func (s *System) mtRequest(msg *ocnMsg) {
 // raiseDeadline ratchets a tracked transaction's response deadline to the
 // MT's fill deadline plus the return transit to its port: a waiter's response
 // cannot dispatch before the line it waits on (or the fetch ahead of it)
-// fills and the response crosses back. Untracked ids (unowned DMA traffic)
-// are skipped; deadlines only ever move up, so replayed waiters that miss
-// again simply ratchet further.
+// fills and the response crosses back. Replayed waiters that miss again
+// simply ratchet further.
 func (s *System) raiseDeadline(id int, mt *mtState) {
-	e, ok := s.respDeadline[id]
-	if !ok {
-		return
-	}
-	if nd := mt.fillDeadline + e.port.mtDist[mt.index]; nd > e.at {
-		e.at = nd
-		s.respDeadline[id] = e
+	if e := s.respDeadline[id]; e != nil {
+		if nd := mt.fillDeadline + e.port.mtDist[mt.index]; nd > e.at {
+			e.at = nd
+		}
 	}
 }
 

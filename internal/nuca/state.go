@@ -418,7 +418,8 @@ func (s *System) LoadState(r *ckpt.Reader, res func(portName string) proc.Origin
 	if r.Err() != nil {
 		return
 	}
-	s.respDeadline = make(map[int]rdEntry, n)
+	s.respDeadline = make(map[int]*rdEntry, n)
+	s.rdByOwner, s.rdFree = [maxOwners][]*rdEntry{}, nil
 	for i := 0; i < n; i++ {
 		id := r.Int()
 		at := r.I64()
@@ -427,7 +428,11 @@ func (s *System) LoadState(r *ckpt.Reader, res func(portName string) proc.Origin
 			r.Failf("nuca: deadline %d has bad port index %d", id, pi)
 			return
 		}
-		s.respDeadline[id] = rdEntry{at: at, port: s.order[pi]}
+		if s.respDeadline[id] != nil {
+			r.Failf("nuca: deadline %d appears twice", id)
+			return
+		}
+		s.trackDeadline(id, at, s.order[pi])
 	}
 
 	s.stagedUnowned = 0
@@ -488,8 +493,7 @@ func (s *System) LoadState(r *ckpt.Reader, res func(portName string) proc.Origin
 	s.free = nil
 	s.inTick = false
 	s.lagCache = 0
-	s.horizonAt = -1
-	s.deadlineAt = -1
+	s.meshAt, s.tightenedAt = -1, -1
 	// Resume the trace-id allocator past every restored in-flight message so
 	// post-restore allocations never collide with checkpointed ids.
 	s.cfg.Trace.ReserveIDs(r.MaxID())

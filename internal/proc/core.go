@@ -1242,10 +1242,14 @@ func (c *Core) SetRegister(thread, r int, v uint64) {
 
 // FlushCaches writes all dirty data-cache lines back to memory so final
 // results are visible in the backing store, retrying submissions that the
-// port backpressures and ticking the memory system until they land.
-func (c *Core) FlushCaches() {
+// port backpressures and ticking the memory system until they land. It
+// advances the backend the core was built with: on a core whose backend is
+// ticked by an owner instead (a chip core), a refused write-back can never
+// drain, and the call returns an error rather than retrying for ever.
+func (c *Core) FlushCaches() error {
+	const maxTicks = 1_000_000
 	// Drain the commit pipelines and write buffers into the banks first.
-	for i := 0; i < 1_000_000; i++ {
+	for i := 0; i < maxTicks; i++ {
 		busy := false
 		for _, d := range c.dts {
 			if d.drainOrder.Len() > 0 || d.wb.valid {
@@ -1266,12 +1270,19 @@ func (c *Core) FlushCaches() {
 			req := &MemRequest{Addr: v.Addr, Data: v.Data, IsWrite: true,
 				Done: func([]byte) { outstanding-- }}
 			outstanding++
-			for !d.port.Submit(req) {
+			for refused := 0; !d.port.Submit(req); refused++ {
+				if refused == maxTicks {
+					return fmt.Errorf("proc: FlushCaches: write-back of line %#x refused %d times: ticking the core's backend does not drain its ports (a chip core's memory system is ticked by the chip)", v.Addr, refused)
+				}
 				c.mem.Tick()
 			}
 		}
 	}
-	for i := 0; outstanding > 0 && i < 1_000_000; i++ {
+	for i := 0; outstanding > 0 && i < maxTicks; i++ {
 		c.mem.Tick()
 	}
+	if outstanding > 0 {
+		return fmt.Errorf("proc: FlushCaches: %d write-backs still in flight after %d backend ticks", outstanding, maxTicks)
+	}
+	return nil
 }

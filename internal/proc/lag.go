@@ -63,7 +63,6 @@ type LagMem interface {
 	EventHorizon
 	Tick()
 	Cycle() int64
-	HorizonDirty()
 	CrossCoreLag() int64
 	OutstandingFor(owner int) int
 	StagedFor(owner int) int
@@ -327,9 +326,6 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 				return r.G, r.errs[k]
 			}
 		}
-		// Strides staged submissions without moving the backend clock, so
-		// the memoized horizon scan must be recomputed before catch-up.
-		r.mem.HorizonDirty()
 		r.catchUp()
 	}
 }
@@ -649,13 +645,18 @@ func (r *lagRunner) catchUp() {
 			if allDone && v > maxCore && !r.extraBusy() {
 				v = maxCore
 			}
+			bound := v
 			v = micronet.FoldBackendHorizon(v, r.mem.NextEventCycle())
 			if v > r.G {
 				r.mem.Warp(v - r.G)
 				r.stats.MemWarps++
 				r.stats.MemWarpedCycles += v - r.G
 				r.G = v
-				continue
+				if v == bound {
+					continue
+				}
+				// The warp stopped short of the target at the backend's own
+				// next event: that cycle is a tick, no need to ask again.
 			}
 		}
 		if r.cfg.PreTick != nil {
