@@ -14,7 +14,7 @@
 // re-runs it to the window of interest; -trace exports the replayed window
 // as a Chrome/Perfetto timeline and -events as a window file diff can
 // consume. -from-start re-simulates from the entry block instead (required
-// for -critpath: the critical-path event graph cannot be checkpointed; the
+// for -critpath: checkpoints do not carry critical-path events; the
 // replayed window is bit-identical either way, critpath tags aside).
 //
 // diff canonicalizes two windows (intra-cycle emission order and message

@@ -241,7 +241,15 @@ func (m *Machine) FlushCache() {
 	}
 }
 
-func (m *Machine) robIdx(i int) *robEntry { return &m.rob[i%m.cfg.ROBSize] }
+// next returns the ROB index after i. The walks over the ring are the
+// baseline's inner loops (the commit-time fold alone was a quarter of its
+// host time when it wrapped by division), so the wrap is a compare.
+func (m *Machine) next(i int) int {
+	if i++; i == len(m.rob) {
+		return 0
+	}
+	return i
+}
 
 // Run executes to completion.
 func (m *Machine) Run() (Result, error) {
@@ -296,7 +304,7 @@ func (m *Machine) commit() bool {
 		}
 		// Fold the retired value into consumers still holding this slot's
 		// tag: the slot is about to be reused by a younger instruction.
-		for j, n2 := (m.head+1)%m.cfg.ROBSize, 1; n2 < m.count; j, n2 = (j+1)%m.cfg.ROBSize, n2+1 {
+		for j, n2 := m.next(m.head), 1; n2 < m.count; j, n2 = m.next(j), n2+1 {
 			c := &m.rob[j]
 			if !c.valid {
 				continue
@@ -312,7 +320,7 @@ func (m *Machine) commit() bool {
 		}
 		m.res.Committed++
 		e.valid = false
-		m.head = (m.head + 1) % m.cfg.ROBSize
+		m.head = m.next(m.head)
 		m.count--
 	}
 	return false
@@ -358,7 +366,7 @@ func (m *Machine) mispredict(i int, taken bool) {
 	m.res.Mispredicts++
 	e := &m.rob[i]
 	// Squash younger entries.
-	j := (i + 1) % m.cfg.ROBSize
+	j := m.next(i)
 	for m.tail != j {
 		m.tail = (m.tail - 1 + m.cfg.ROBSize) % m.cfg.ROBSize
 		victim := &m.rob[m.tail]
@@ -373,7 +381,7 @@ func (m *Machine) mispredict(i int, taken bool) {
 	// Rebuild the register map conservatively: point at the youngest
 	// surviving producer of each register.
 	m.regmap = map[tir.Reg]int{}
-	for k, n := m.head, 0; n < m.count; k, n = (k+1)%m.cfg.ROBSize, n+1 {
+	for k, n := m.head, 0; n < m.count; k, n = m.next(k), n+1 {
 		v := &m.rob[k]
 		if v.valid && v.ai.kind == aTIR && v.ai.inst.Op.WritesDst() {
 			m.regmap[v.ai.inst.Dst] = k
@@ -443,7 +451,7 @@ func b2u32(b bool) uint32 {
 // memory-port limits.
 func (m *Machine) issue() {
 	issued, memIssued := 0, 0
-	for k, n := m.head, 0; n < m.count && issued < m.cfg.IssueWidth; k, n = (k+1)%m.cfg.ROBSize, n+1 {
+	for k, n := m.head, 0; n < m.count && issued < m.cfg.IssueWidth; k, n = m.next(k), n+1 {
 		e := &m.rob[k]
 		if !e.valid || e.state != rsWaiting {
 			continue
@@ -518,7 +526,7 @@ func (m *Machine) srcVal(src int, captured uint64) uint64 {
 // disambiguate checks older stores: returns (stall, forwarded, value).
 func (m *Machine) disambiguate(k int, e *robEntry) (bool, bool, uint64) {
 	var best *robEntry
-	for j, n := m.head, 0; n < m.count; j, n = (j+1)%m.cfg.ROBSize, n+1 {
+	for j, n := m.head, 0; n < m.count; j, n = m.next(j), n+1 {
 		if j == k {
 			break
 		}
@@ -556,11 +564,7 @@ func (m *Machine) disambiguate(k int, e *robEntry) (bool, bool, uint64) {
 // loadAccess reads the L1, modeling hit latency and miss fills.
 func (m *Machine) loadAccess(e *robEntry) (uint64, int64) {
 	w := e.ai.inst.Width
-	if raw, ok := m.l1.Read(e.addr, w); ok {
-		var v uint64
-		for i := w - 1; i >= 0; i-- {
-			v = v<<8 | uint64(raw[i])
-		}
+	if v, ok := m.l1.ReadUint(e.addr, w); ok {
 		done := m.cycle + int64(m.cfg.L1Hit)
 		// A line installed functionally but still timing-wise in flight
 		// delays dependent loads until the fill completes.
@@ -585,11 +589,7 @@ func (m *Machine) loadAccess(e *robEntry) (uint64, int64) {
 	if v := m.l1.Fill(line, m.mem.ReadBytes(line, 64)); v.Valid {
 		m.mem.WriteBytes(v.Addr, v.Data)
 	}
-	raw, _ := m.l1.Read(e.addr, w)
-	var v uint64
-	for i := w - 1; i >= 0; i-- {
-		v = v<<8 | uint64(raw[i])
-	}
+	v, _ := m.l1.ReadUint(e.addr, w)
 	if ready <= m.cycle {
 		ready = m.cycle + int64(m.cfg.L1Hit)
 		delete(m.fills, line)
@@ -665,7 +665,7 @@ func (m *Machine) fetch() {
 			e.state = rsDone
 			m.halted = true
 		}
-		m.tail = (m.tail + 1) % m.cfg.ROBSize
+		m.tail = m.next(m.tail)
 		m.count++
 		if ai.kind == aRet {
 			return

@@ -288,4 +288,10 @@ func TestROBWrapWithMispredicts(t *testing.T) {
 	if res.Committed < 400*15 {
 		t.Errorf("committed only %d instructions", res.Committed)
 	}
+	// The exact outcome the commit-time fold produced before its index
+	// arithmetic was rewritten (commit a114839): a consumer that misses the
+	// retiring value, or takes a stale one, moves at least one of these.
+	if res.Cycles != 5709 || res.Committed != 8205 || res.Mispredicts != 10 {
+		t.Errorf("%d cycles, %d committed, %d mispredicts; want 5709, 8205, 10", res.Cycles, res.Committed, res.Mispredicts)
+	}
 }

@@ -65,13 +65,15 @@ func (b *Bank) find(addr uint64) *line {
 // Probe reports whether addr hits without updating LRU or stats.
 func (b *Bank) Probe(addr uint64) bool { return b.find(addr) != nil }
 
-// Read copies n bytes at addr out of the bank. The access must hit and must
-// not cross a line boundary; callers split line-crossing accesses.
-func (b *Bank) Read(addr uint64, n int) ([]byte, bool) {
+// access is the hit path shared by the reads: it returns the n bytes at addr
+// inside the resident line, counting the access and refreshing its LRU
+// stamp, or nil on a miss. The access must not cross a line boundary; callers
+// split line-crossing accesses.
+func (b *Bank) access(addr uint64, n int) []byte {
 	ln := b.find(addr)
 	if ln == nil {
 		b.Misses++
-		return nil, false
+		return nil
 	}
 	b.Hits++
 	b.clock++
@@ -80,9 +82,30 @@ func (b *Bank) Read(addr uint64, n int) ([]byte, bool) {
 	if off+n > b.LineBytes {
 		panic(fmt.Sprintf("cache: read of %d bytes at %#x crosses a %dB line", n, addr, b.LineBytes))
 	}
-	out := make([]byte, n)
-	copy(out, ln.data[off:off+n])
-	return out, true
+	return ln.data[off : off+n]
+}
+
+// Read copies n bytes at addr out of the bank. The access must hit.
+func (b *Bank) Read(addr uint64, n int) ([]byte, bool) {
+	in := b.access(addr, n)
+	if in == nil {
+		return nil, false
+	}
+	return append(make([]byte, 0, n), in...), true
+}
+
+// ReadUint reads n <= 8 bytes at addr as a little-endian integer — a load's
+// view of the bank — without copying them out first.
+func (b *Bank) ReadUint(addr uint64, n int) (uint64, bool) {
+	in := b.access(addr, n)
+	if in == nil {
+		return 0, false
+	}
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(in[i])
+	}
+	return v, true
 }
 
 // Write stores data at addr if the line is present, marking it dirty.

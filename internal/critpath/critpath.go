@@ -13,10 +13,14 @@
 // edge. Because event times in a cycle-accurate simulator are exactly
 // "max over parents + edge latency", the chain of last-arriving parents IS
 // the critical path, so each event can carry cumulative per-category totals
-// and the analysis needs O(1) memory per live event.
+// and the analysis needs O(1) memory per live event: an Event is a 40-byte
+// value that lives inside whatever it describes, with nothing to free.
 package critpath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Cat is a critical-path cycle category (the columns of paper Table 3).
 type Cat int
@@ -68,29 +72,32 @@ func (c Cat) String() string {
 type Split [NumCats]int64
 
 // Event is a node on the dependence graph, carrying cumulative
-// per-category totals along its critical (last-arrival) chain.
+// per-category totals along its critical (last-arrival) chain. It is a plain
+// value — copied into messages, reservation stations and queue entries, never
+// allocated — and the zero Event is the time-zero root. The totals sum to
+// Cycle, so 32-bit counters cannot wrap while Cycle fits in one, which New
+// checks.
 type Event struct {
 	Cycle int64
-	Cum   Split
+	Cum   [NumCats]uint32
 }
 
 // Root returns the time-zero event.
-func Root() *Event { return &Event{} }
+func Root() Event { return Event{} }
 
 // New creates an event at the given cycle whose last-arriving dependency is
 // parent. split apportions the edge latency (cycle - parent.Cycle) among
 // categories; any unapportioned remainder is charged to rem. Negative or
 // over-apportioned splits are clamped so totals always equal elapsed time.
-func New(cycle int64, parent *Event, split Split, rem Cat) *Event {
-	if parent == nil {
-		parent = Root()
-	}
+func New(cycle int64, parent Event, split Split, rem Cat) Event {
 	if cycle < parent.Cycle {
 		cycle = parent.Cycle
 	}
-	edge := cycle - parent.Cycle
-	e := &Event{Cycle: cycle, Cum: parent.Cum}
-	left := edge
+	if cycle > math.MaxUint32 {
+		panic(fmt.Sprintf("critpath: cycle %d overflows the 32-bit category counters", cycle))
+	}
+	e := Event{Cycle: cycle, Cum: parent.Cum}
+	left := cycle - parent.Cycle
 	for c := Cat(0); c < NumCats; c++ {
 		take := split[c]
 		if take < 0 {
@@ -99,22 +106,16 @@ func New(cycle int64, parent *Event, split Split, rem Cat) *Event {
 		if take > left {
 			take = left
 		}
-		e.Cum[c] += take
+		e.Cum[c] += uint32(take)
 		left -= take
 	}
-	e.Cum[rem] += left
+	e.Cum[rem] += uint32(left)
 	return e
 }
 
-// Latest returns the later of two events (nil-safe), used to find the
+// Latest returns the later of two events (a on ties), used to find the
 // last-arriving dependency.
-func Latest(a, b *Event) *Event {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
+func Latest(a, b Event) Event {
 	if b.Cycle > a.Cycle {
 		return b
 	}
@@ -128,8 +129,12 @@ type Report struct {
 }
 
 // Finish produces the report for a terminal event.
-func Finish(e *Event) Report {
-	return Report{TotalCycles: e.Cycle, Cycles: e.Cum}
+func Finish(e Event) Report {
+	r := Report{TotalCycles: e.Cycle}
+	for c, n := range e.Cum {
+		r.Cycles[c] = int64(n)
+	}
+	return r
 }
 
 // Percent returns category c's share of the critical path in percent.

@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -51,9 +52,65 @@ func TestLatest(t *testing.T) {
 	if Latest(a, b) != b || Latest(b, a) != b {
 		t.Error("Latest did not pick the later event")
 	}
-	if Latest(nil, a) != a || Latest(a, nil) != a {
-		t.Error("Latest not nil-safe")
+	if Latest(Event{}, a) != a || Latest(a, Event{}) != a {
+		t.Error("Latest does not treat the zero event as the root")
 	}
+}
+
+// An Event is a value: the zero Event is the root, copies are independent,
+// and deriving a child never touches its parent.
+func TestZeroEventIsRoot(t *testing.T) {
+	var zero Event
+	if zero != Root() {
+		t.Fatalf("zero Event %+v differs from Root() %+v", zero, Root())
+	}
+	var sp Split
+	sp[CatFanout] = 2
+	if a, b := New(7, zero, sp, CatCommit), New(7, Root(), sp, CatCommit); a != b {
+		t.Fatalf("child of the zero event %+v, of Root() %+v", a, b)
+	}
+	if r := Finish(zero); r != (Report{}) {
+		t.Fatalf("Finish(zero) = %+v, want the empty report", r)
+	}
+	parent := New(4, zero, Split{}, CatIFetch)
+	kept := parent
+	child := New(9, parent, Split{}, CatOther)
+	if parent != kept {
+		t.Fatalf("deriving %+v changed its parent to %+v", child, parent)
+	}
+}
+
+// Latest keeps its first argument on a tie — the simulator's choice of
+// last-arriving dependency depends on it — and a zero event never beats an
+// event that happened.
+func TestLatestTiesAndZeroValues(t *testing.T) {
+	a := New(6, Root(), Split{}, CatIFetch)
+	b := New(6, Root(), Split{}, CatCommit)
+	if Latest(a, b) != a || Latest(b, a) != b {
+		t.Error("Latest does not keep its first argument on a tie")
+	}
+	if Latest(Event{}, Event{}) != (Event{}) {
+		t.Error("Latest of two zero events is not the zero event")
+	}
+	atZero := New(0, Root(), Split{}, CatOther)
+	if atZero != (Event{}) || Latest(Event{}, atZero) != atZero {
+		t.Error("an event at cycle 0 is not the root")
+	}
+}
+
+// The counters are 32 bits wide; because they sum to the cycle, one check of
+// the cycle guards them all. A run that long must stop loudly, not wrap.
+func TestOverflowPanics(t *testing.T) {
+	last := New(math.MaxUint32, Root(), Split{}, CatOther)
+	if last.Cum[CatOther] != math.MaxUint32 || Finish(last).Cycles[CatOther] != math.MaxUint32 {
+		t.Fatalf("largest representable event lost cycles: %+v", last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a cycle beyond the 32-bit counters")
+		}
+	}()
+	New(math.MaxUint32+1, last, Split{}, CatOther)
 }
 
 func TestQuickTotalsAlwaysSumToElapsed(t *testing.T) {
@@ -71,7 +128,7 @@ func TestQuickTotalsAlwaysSumToElapsed(t *testing.T) {
 		}
 		var sum int64
 		for c := Cat(0); c < NumCats; c++ {
-			sum += e.Cum[c]
+			sum += int64(e.Cum[c])
 		}
 		return sum == e.Cycle
 	}

@@ -66,8 +66,8 @@ type TRIPSOptions struct {
 	// tiles, micronets, LSQ, predictor, event wheel, and the memory backend
 	// with its backing image) is framed and written to CheckpointTo,
 	// content-hashed to the program image and configuration. Incompatible
-	// with TrackCritPath: the critical-path event graph cannot be
-	// serialized.
+	// with TrackCritPath: the checkpoint format carries no critical-path
+	// events.
 	CheckpointAt int64
 	CheckpointTo io.Writer
 	// RestoreFrom, when non-nil, resumes from a checkpoint instead of
@@ -133,7 +133,7 @@ type TRIPSResult struct {
 // RunTRIPS compiles and executes a workload spec on the TRIPS core.
 func RunTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*TRIPSResult, error) {
 	if (opt.CheckpointTo != nil || opt.RestoreFrom != nil) && opt.TrackCritPath {
-		return nil, fmt.Errorf("eval: %s: checkpoint/restore is incompatible with critical-path tracking (the event graph cannot be serialized)", spec.F.Name)
+		return nil, fmt.Errorf("eval: %s: checkpoint/restore is incompatible with critical-path tracking (checkpoints do not carry its events)", spec.F.Name)
 	}
 	if opt.CheckpointTo != nil && opt.CheckpointAt <= 0 {
 		return nil, fmt.Errorf("eval: %s: checkpoint requested without a positive capture cycle", spec.F.Name)

@@ -64,7 +64,7 @@ func newFlightRun(spec *workloads.Spec, opt *TRIPSOptions) (*flightRun, error) {
 		return &flightRun{}, nil
 	}
 	if opt.TrackCritPath {
-		return nil, fmt.Errorf("eval: %s: flight recorder is incompatible with critical-path tracking (checkpoints cannot serialize the event graph)", spec.F.Name)
+		return nil, fmt.Errorf("eval: %s: flight recorder is incompatible with critical-path tracking (checkpoints do not carry its events)", spec.F.Name)
 	}
 	if opt.CheckpointTo != nil {
 		return nil, fmt.Errorf("eval: %s: flight recorder and explicit -checkpoint-out both own the commit hook; use one", spec.F.Name)

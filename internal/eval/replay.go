@@ -21,8 +21,7 @@ type ReplayOptions struct {
 	TracerCap int
 	// FromStart ignores the bundled checkpoint and re-simulates from the
 	// entry block — slower, but the only way to carry critical-path
-	// attribution into the window (the checkpointed event graph cannot be
-	// restored). Deterministic stepping makes the window identical either
+	// attribution into the window (checkpoints do not carry the events). Deterministic stepping makes the window identical either
 	// way.
 	FromStart bool
 	// TrackCritPath tags replayed events with critical-path categories.
@@ -71,7 +70,7 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 		return nil, err
 	}
 	if ro.TrackCritPath && !ro.FromStart {
-		return nil, fmt.Errorf("eval: critical-path replay must run from the start (-from-start): the checkpointed event graph cannot be restored")
+		return nil, fmt.Errorf("eval: critical-path replay must run from the start (-from-start): checkpoints do not carry critical-path events")
 	}
 	opt.SeqStep = true
 	opt.TrackCritPath = ro.TrackCritPath

@@ -103,6 +103,10 @@ const (
 // LSQ is one DT's replica of the load/store queue.
 type LSQ struct {
 	entries entryList
+	// free recycles the records of entries that left the queue with nobody
+	// holding them: everything a flush removes, and at commit the loads and
+	// nullified stores (the committing stores go to the DT's drain).
+	free []*Entry
 
 	// Stats.
 	Forwards, Violations, Conflicts uint64
@@ -119,6 +123,22 @@ func (q *LSQ) Len() int { return len(q.entries) }
 // Full reports whether the queue is at capacity.
 func (q *LSQ) Full() bool { return len(q.entries) >= Capacity }
 
+// newEntry queues v in a recycled (or new) record; nil if its key is taken.
+func (q *LSQ) newEntry(v Entry) *Entry {
+	var e *Entry
+	if n := len(q.free); n > 0 {
+		e, q.free = q.free[n-1], q.free[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	*e = v
+	if !q.entries.insert(e) {
+		q.free = append(q.free, e)
+		return nil
+	}
+	return e
+}
+
 // InsertLoad records an arriving load and resolves it against earlier
 // buffered stores. It returns the forwarding decision and, for
 // LoadForwarded, the data.
@@ -126,8 +146,8 @@ func (q *LSQ) InsertLoad(key, blockSeq uint64, addr uint64, width int) (LoadResu
 	if q.Full() {
 		return 0, 0, fmt.Errorf("lsq: full")
 	}
-	e := &Entry{Key: key, BlockSeq: blockSeq, Addr: addr, Width: width, Issued: true}
-	if !q.entries.insert(e) {
+	e := q.newEntry(Entry{Key: key, BlockSeq: blockSeq, Addr: addr, Width: width, Issued: true})
+	if e == nil {
 		return 0, 0, fmt.Errorf("lsq: duplicate key %#x", key)
 	}
 
@@ -167,8 +187,8 @@ func (q *LSQ) InsertStore(key, blockSeq uint64, addr uint64, width int, data uin
 	if q.Full() {
 		return nil, fmt.Errorf("lsq: full")
 	}
-	e := &Entry{Key: key, BlockSeq: blockSeq, IsStore: true, Addr: addr, Width: width, Data: data, Null: null}
-	if !q.entries.insert(e) {
+	e := q.newEntry(Entry{Key: key, BlockSeq: blockSeq, IsStore: true, Addr: addr, Width: width, Data: data, Null: null})
+	if e == nil {
 		return nil, fmt.Errorf("lsq: duplicate key %#x", key)
 	}
 	if null {
@@ -231,6 +251,8 @@ func (q *LSQ) CommitBlock(blockSeq uint64) []*Entry {
 	for _, e := range q.entries[i:j] {
 		if e.IsStore && !e.Null {
 			stores = append(stores, e)
+		} else {
+			q.free = append(q.free, e)
 		}
 	}
 	q.entries.cut(i, j)
@@ -241,13 +263,16 @@ func (q *LSQ) CommitBlock(blockSeq uint64) []*Entry {
 // (the flush protocol discards the mis-speculated block and everything
 // after it, paper Section 4.3).
 func (q *LSQ) FlushFrom(blockSeq uint64) {
-	q.entries.cut(q.entries.search(OrderKey(blockSeq, 0)), len(q.entries))
+	i := q.entries.search(OrderKey(blockSeq, 0))
+	q.free = append(q.free, q.entries[i:]...)
+	q.entries.cut(i, len(q.entries))
 }
 
 // FlushBlock removes exactly one block's entries (used when the GCN flush
 // mask names specific frames).
 func (q *LSQ) FlushBlock(blockSeq uint64) {
 	i, j := q.blockSpan(blockSeq)
+	q.free = append(q.free, q.entries[i:j]...)
 	q.entries.cut(i, j)
 }
 

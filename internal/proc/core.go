@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math"
 
 	"trips/internal/critpath"
 	"trips/internal/isa"
@@ -122,6 +123,16 @@ type Core struct {
 	// scheduling does not allocate.
 	wheel         [wheelSize][]schedEvent
 	schedOverflow map[int64][]schedEvent
+	// dispatches holds what each in-flight GDN dispatch distributes, indexed
+	// by seq%NumSlots; wheel events name their payload by block seq alone.
+	dispatches [NumSlots]dispatchRec
+	// slowOPN parks the messages behind evSlowOPN events (SlowOPNRouter
+	// ablation), each delivered at its destination: all fire the cycle after
+	// they were parked, then the list resets.
+	slowOPN []*opnMsg
+	// flushes parks the per-frame sequence numbers of flush commands between
+	// issue and the GCN wave's last delivery; the command carries the index.
+	flushes []flushRec
 
 	// msgFree pools operand-network messages: the OPN moves one message per
 	// dependent instruction pair, making opnMsg the hottest allocation in
@@ -129,7 +140,7 @@ type Core struct {
 	msgFree []*opnMsg
 
 	// Store-arrival critical-path events per frame (tracked at DT0's view).
-	storeEvs [NumSlots]*critpath.Event
+	storeEvs [NumSlots]critpath.Event
 	storeSeq [NumSlots]uint64
 
 	// Stats.
@@ -191,6 +202,9 @@ func NewCore(cfg Config) (*Core, error) {
 	}
 	if cfg.OPNChannels == 0 {
 		cfg.OPNChannels = 1
+	}
+	if cfg.TrackCritPath && cfg.MaxCycles >= math.MaxUint32 {
+		return nil, fmt.Errorf("proc: critical-path tracking counts cycles in 32 bits; MaxCycles %d is beyond them", cfg.MaxCycles)
 	}
 	c := &Core{
 		cfg:         cfg,
@@ -317,10 +331,11 @@ func (c *Core) activeThreads() int { return len(c.cfg.Entries) }
 // Cycle returns the current cycle number.
 func (c *Core) Cycle() int64 { return c.cycle }
 
-// newEvent allocates a critical-path event, or nil when tracking is off.
-func (c *Core) newEvent(cycle int64, parent *critpath.Event, split critpath.Split, rem critpath.Cat) *critpath.Event {
+// newEvent derives a critical-path event from its last-arriving dependency,
+// or returns the zero event when tracking is off.
+func (c *Core) newEvent(cycle int64, parent critpath.Event, split critpath.Split, rem critpath.Cat) critpath.Event {
 	if !c.cfg.TrackCritPath {
-		return nil
+		return critpath.Event{}
 	}
 	return critpath.New(cycle, parent, split, rem)
 }
@@ -345,28 +360,41 @@ const (
 	evSlowOPN                  // delayed OPN delivery (SlowOPNRouter ablation)
 )
 
-// schedEvent is one future delivery. Payloads are copied at schedule time
-// (matching the old closures' captured values) and interpreted by kind.
+// schedEvent is one future delivery: 16 pointer-free bytes naming the tile
+// it lands on and, by block seq, the dispatch whose payload it carries.
 type schedEvent struct {
+	seq  uint64 // block seq; evRefill: the block address; evSlowOPN: index into slowOPN
 	kind evKind
-	slot int
-	seq  uint64 // block seq; evRefill reuses it for the block address
-	idx  int    // body: instruction index; header: beat number
+	tile uint8 // index of the ET, RT, DT or IT the event lands on
+	slot uint8
+	idx  uint8 // body: instruction index; header: beat number
+}
 
-	et *etTile
-	rt *rtTile
-	dt *dtTile
-	it *itTile
+// dispatchRec is one block's GDN payload: the decoded header and body chunks
+// the IT banks held when the dispatch command left the GT (decoded chunks are
+// never mutated, so a later eviction or refill cannot change them under the
+// beats in flight) and the dispatch's critical-path event. The GDN serializes
+// dispatches dispatchBeats cycles apart and every beat lands within
+// maxDispatchDelay cycles, so record seq%NumSlots outlives all of its events,
+// flushed ones included.
+type dispatchRec struct {
+	seq    uint64
+	hdr    *isa.HeaderInfo
+	bodies [isa.NumITs - 1]*[isa.BodyChunkInsts]isa.Inst
+	ev     critpath.Event
+}
 
-	inst isa.Inst
-	rd   isa.ReadInst
-	wr   isa.WriteInst
-	mask uint32
+// maxDispatchDelay is the latest beat: the last chunk's IT, beat 7, column 4.
+const maxDispatchDelay = gdnCmdToIT + (isa.NumITs - 1) + itBankCycles + (dispatchBeats - 1) + 4 + 1
 
-	at  micronet.Coord
-	msg *opnMsg
+const (
+	_ = uint(wheelSize - 1 - maxDispatchDelay)          // beats never reach the overflow map
+	_ = uint(dispatchBeats*NumSlots - maxDispatchDelay) // nor outlive their dispatchRec
+)
 
-	ev *critpath.Event
+type flushRec struct {
+	live bool
+	seqs [NumSlots]uint64
 }
 
 // scheduleEv registers an event to run at the start of the given cycle.
@@ -392,48 +420,61 @@ func (c *Core) runEvents(now int64) {
 	slot := &c.wheel[now&wheelMask]
 	if evs := *slot; len(evs) > 0 {
 		*slot = evs[:0]
-		for i := range evs {
-			c.runEvent(now, &evs[i])
-			evs[i] = schedEvent{}
+		for _, e := range evs {
+			c.runEvent(now, e)
 		}
+		c.slowOPN = c.slowOPN[:0]
 	}
 	if len(c.schedOverflow) > 0 {
 		if evs, ok := c.schedOverflow[now]; ok {
 			delete(c.schedOverflow, now)
-			for i := range evs {
-				c.runEvent(now, &evs[i])
+			for _, e := range evs {
+				c.runEvent(now, e)
 			}
 		}
 	}
 }
 
-func (c *Core) runEvent(now int64, e *schedEvent) {
+func (c *Core) runEvent(now int64, e schedEvent) {
+	switch e.kind {
+	case evRefill:
+		it := c.its[e.tile]
+		it.active = true
+		it.onRefill(e.seq)
+		return
+	case evSlowOPN:
+		c.routeDelivered(now, c.slowOPN[e.seq].dst, c.slowOPN[e.seq])
+		return
+	}
+	d := &c.dispatches[e.seq%NumSlots]
+	if d.seq != e.seq {
+		panic(fmt.Sprintf("proc: dispatch record of block %d overwritten by %d with beats in flight", e.seq, d.seq))
+	}
+	slot := int(e.slot)
+	ev := c.newEvent(now, d.ev, critpath.Split{}, critpath.CatIFetch)
 	switch e.kind {
 	case evBodyInst:
-		ev := c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
-		e.et.deliverInst(e.slot, e.seq, e.idx, e.inst, ev)
+		idx := int(e.idx)
+		c.ets[e.tile].deliverInst(slot, e.seq, idx, &d.bodies[idx/isa.BodyChunkInsts][idx%isa.BodyChunkInsts], ev)
 	case evHeaderBeat:
-		ev := c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
-		e.rt.deliverHeaderBeat(e.slot, e.seq, e.idx, e.rd, e.wr, ev)
+		j := int(e.idx)*4 + int(e.tile)
+		c.rts[e.tile].deliverHeaderBeat(slot, e.seq, int(e.idx), d.hdr.Reads[j], d.hdr.Writes[j], ev)
 	case evStoreMask:
-		d := e.dt
-		d.wake()
-		if d.slotSeq[e.slot] == e.seq {
-			d.storeMask[e.slot] = e.mask
-			d.maskKnown[e.slot] = true
-			d.bindEv[e.slot] = c.newEvent(now, e.ev, critpath.Split{}, critpath.CatIFetch)
+		dt := c.dts[e.tile]
+		dt.wake()
+		if dt.slotSeq[slot] == e.seq {
+			dt.storeMask[slot] = d.hdr.StoreMask
+			dt.maskKnown[slot] = true
+			if dt.evs != nil {
+				dt.evs[slot].bind = ev
+			}
 			if c.trace != nil {
 				c.trace.Emit(obs.Event{
-					Cycle: now, Seq: e.seq, Arg: uint64(d.id),
-					Kind: obs.KindStoreMask, Slot: int16(e.slot),
+					Cycle: now, Seq: e.seq, Arg: uint64(dt.id),
+					Kind: obs.KindStoreMask, Slot: int16(slot),
 				})
 			}
 		}
-	case evRefill:
-		e.it.active = true
-		e.it.onRefill(e.seq)
-	case evSlowOPN:
-		c.routeDelivered(now, e.at, e.msg)
 	}
 }
 
@@ -447,15 +488,14 @@ func (c *Core) newOPNMsg() *opnMsg {
 	return &opnMsg{}
 }
 
-// freeOPNMsg recycles a message whose final consumer has fully read it.
-// Messages dropped on staleness/flush paths are deliberately NOT freed (the
-// GC reclaims them): a flushed load's message can still be referenced from
-// an MSHR waiter list, and leaking the rare flushed message is cheaper than
-// proving every such path free of aliases.
-func (c *Core) freeOPNMsg(m *opnMsg) {
-	*m = opnMsg{}
-	c.msgFree = append(c.msgFree, m)
-}
+// freeOPNMsg recycles a message whose final consumer has fully read it. It
+// is not cleared: a message holds no pointers and every taker of newOPNMsg
+// overwrites the whole struct. Messages dropped on staleness/flush paths are
+// deliberately NOT freed: a flushed load's message can still be referenced
+// from an MSHR waiter list, and recycling it would hand that waiter another
+// block's message; leaking the rare flushed message to the collector is
+// cheaper than proving every such path free of aliases.
+func (c *Core) freeOPNMsg(m *opnMsg) { c.msgFree = append(c.msgFree, m) }
 
 // opnChannel selects the channel for a message (bandwidth ablation).
 // Memory operations hash by cache line only, so accesses that could
@@ -494,38 +534,50 @@ func (c *Core) deliverOPN(at micronet.Coord) (*opnMsg, bool) {
 // the queue is how commit commands pipeline, paper Section 4.4).
 func (c *Core) issueGCN(msg gcnMsg) { c.gcnQueue.Push(msg) }
 
-func (c *Core) canIssueGCN() bool { return true }
+// parkFlush stores a flush command's per-frame sequence numbers and returns
+// their handle. A block is flushed at most once, so equal seqs mean the same
+// command: a checkpoint restore decodes it once per tree position and gets
+// the one record back.
+func (c *Core) parkFlush(seqs [NumSlots]uint64) uint64 {
+	free := len(c.flushes)
+	for i, f := range c.flushes {
+		if f.live && f.seqs == seqs {
+			return uint64(i)
+		} else if !f.live {
+			free = i
+		}
+	}
+	if free == len(c.flushes) {
+		c.flushes = append(c.flushes, flushRec{})
+	}
+	c.flushes[free] = flushRec{live: true, seqs: seqs}
+	return uint64(free)
+}
 
 // issueGRN starts a distributed I-cache refill: the refill address reaches
 // IT k after 1+k cycles (paper Section 4.1).
 func (c *Core) issueGRN(addr uint64) {
 	for k := range c.its {
-		c.scheduleEv(c.cycle+1+int64(k), schedEvent{kind: evRefill, it: c.its[k], seq: addr})
+		c.scheduleEv(c.cycle+1+int64(k), schedEvent{kind: evRefill, tile: uint8(k), seq: addr})
 	}
 }
 
 // noteStoreEv tracks the last-arriving store event per frame, from DT0's
 // DSN-complete view, for completion-phase attribution.
-func (c *Core) noteStoreEv(slot int, seq uint64, ev *critpath.Event) {
+func (c *Core) noteStoreEv(slot int, seq uint64, ev critpath.Event) {
 	if c.storeSeq[slot] != seq {
-		c.storeEvs[slot] = nil
+		c.storeEvs[slot] = critpath.Event{}
 		c.storeSeq[slot] = seq
 	}
 	c.storeEvs[slot] = critpath.Latest(c.storeEvs[slot], ev)
 }
 
-func (c *Core) storeEv(slot int, seq uint64) *critpath.Event {
+func (c *Core) storeEv(slot int, seq uint64) critpath.Event {
 	if c.storeSeq[slot] != seq {
-		return nil
+		return critpath.Event{}
 	}
 	return c.storeEvs[slot]
 }
-
-// cancelScheduled is a hook for dropping flushed dispatch work; staleness
-// filtering at the tiles already guarantees correctness, so this only
-// exists to document the GDN property that a refetch can never overtake a
-// flush (paper Section 4.3).
-func (c *Core) cancelScheduled(mask uint8, seqs [8]uint64) {}
 
 // onBlockRetired records commit statistics.
 func (c *Core) onBlockRetired(addr uint64) {
@@ -561,17 +613,18 @@ func (c *Core) markTimeline(seq, addr uint64, phase string) {
 // one block (paper Section 4.1): the GT issues eight beat commands on
 // consecutive cycles; ITs read their banks and stream four instructions per
 // cycle eastward across their rows.
-func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, addr uint64, hdr *isa.HeaderInfo, dispEv *critpath.Event) {
+func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, addr uint64, hdr *isa.HeaderInfo, dispEv critpath.Event) {
 	// The instruction payloads come from the IT banks (refilled over the
 	// GRN), not from the program map: the ITs are the architects of what
 	// actually executes.
-	bodies := make([]*[isa.BodyChunkInsts]isa.Inst, hdr.BodyChunks)
+	rec := &c.dispatches[seq%NumSlots]
+	*rec = dispatchRec{seq: seq, hdr: hdr, ev: dispEv}
 	for chunk := 0; chunk < hdr.BodyChunks; chunk++ {
 		insts, err := c.its[chunk+1].bodyOf(addr)
 		if err != nil {
 			panic(fmt.Sprintf("proc: dispatch without chunk %d: %v", chunk, err))
 		}
-		bodies[chunk] = insts
+		rec.bodies[chunk] = insts
 	}
 
 	// Control-state binding happens as the dispatch command leaves the GT;
@@ -586,30 +639,28 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 		d.bindSlot(slot, seq, thread, 0)
 		d.maskKnown[slot] = false
 	}
+	ev := schedEvent{seq: seq, slot: uint8(slot)}
 	// The store mask reaches each DT a few cycles into dispatch.
-	mask := hdr.StoreMask
-	for i, d := range c.dts {
-		c.scheduleEv(now+3+int64(i), schedEvent{
-			kind: evStoreMask, dt: d, slot: slot, seq: seq, mask: mask, ev: dispEv,
-		})
+	ev.kind = evStoreMask
+	for i := range c.dts {
+		ev.tile = uint8(i)
+		c.scheduleEv(now+3+int64(i), ev)
 	}
 
 	// Header beats: IT0 feeds row 0. Beat b carries read and write queue
 	// entries with index b*4+rt for each RT (column rt+1).
+	ev.kind = evHeaderBeat
 	it0 := gdnCmdToIT + itBankCycles
 	for b := 0; b < dispatchBeats; b++ {
 		for rt := 0; rt < isa.NumRTs; rt++ {
-			j := b*4 + rt
-			arrive := now + int64(it0+b+(rt+1)+1)
-			c.scheduleEv(arrive, schedEvent{
-				kind: evHeaderBeat, rt: c.rts[rt], slot: slot, seq: seq,
-				idx: b, rd: hdr.Reads[j], wr: hdr.Writes[j], ev: dispEv,
-			})
+			ev.tile, ev.idx = uint8(rt), uint8(b)
+			c.scheduleEv(now+int64(it0+b+(rt+1)+1), ev)
 		}
 	}
 
 	// Body beats: IT k+1 feeds ET row k with chunk k. Beat b carries chunk
 	// positions b*4..b*4+3, one per column.
+	ev.kind = evBodyInst
 	for chunk := 0; chunk < hdr.BodyChunks; chunk++ {
 		itk := gdnCmdToIT + (chunk + 1) + itBankCycles
 		for b := 0; b < dispatchBeats; b++ {
@@ -618,11 +669,8 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 				if idx >= hdr.NumInsts {
 					continue
 				}
-				arrive := now + int64(itk+b+(col+1)+1)
-				c.scheduleEv(arrive, schedEvent{
-					kind: evBodyInst, et: c.ets[isa.ETOf(idx)], slot: slot, seq: seq,
-					idx: idx, inst: bodies[chunk][idx%isa.BodyChunkInsts], ev: dispEv,
-				})
+				ev.tile, ev.idx = uint8(isa.ETOf(idx)), uint8(idx)
+				c.scheduleEv(now+int64(itk+b+(col+1)+1), ev)
 			}
 		}
 	}
@@ -741,14 +789,13 @@ func (c *Core) Step() {
 // reach it, exactly the contract the whole-core warp gate establishes
 // globally and this check establishes per-cycle.
 func (c *Core) gtDeliverable() bool {
-	if _, ok := c.gsnRT.Recv(0); ok {
-		return true
-	}
-	if _, ok := c.gsnDT.Recv(0); ok {
-		return true
-	}
-	if _, ok := c.gsnIT.Recv(0); ok {
-		return true
+	for _, ch := range [...]*micronet.Chain[gsnMsg]{c.gsnRT, c.gsnDT, c.gsnIT} {
+		if ch.Quiet() {
+			continue // Recv copies the message out even when there is none
+		}
+		if _, ok := ch.Recv(0); ok {
+			return true
+		}
 	}
 	for _, m := range c.opns {
 		if m.PendingDeliveries() == 0 {
@@ -781,7 +828,8 @@ func (c *Core) pumpOPNDeliveries(now int64) {
 					}
 					m.Pop(at)
 					if c.cfg.SlowOPNRouter {
-						c.scheduleEv(now+1, schedEvent{kind: evSlowOPN, at: at, msg: msg})
+						c.scheduleEv(now+1, schedEvent{kind: evSlowOPN, seq: uint64(len(c.slowOPN))})
+						c.slowOPN = append(c.slowOPN, msg)
 						continue
 					}
 					c.routeDelivered(now, at, msg)
@@ -806,7 +854,7 @@ func (c *Core) routeDelivered(now int64, at micronet.Coord, msg *opnMsg) {
 			critpath.CatOPNContention: int64(msg.waits),
 		}, critpath.CatOPNHop)
 		// Write entry j lives at local queue slot j/4 of RT j%4.
-		c.rts[at.Col-1].deliverWrite(now, msg.slot, msg.seq, isa.RTSlotOf(msg.target.Index), msg.val, ev)
+		c.rts[at.Col-1].deliverWrite(now, int(msg.slot), msg.seq, isa.RTSlotOf(msg.target.Index), msg.val, ev)
 		if c.trace != nil {
 			c.traceOperand(now, at, msg)
 		}
@@ -821,7 +869,7 @@ func (c *Core) routeDelivered(now int64, at micronet.Coord, msg *opnMsg) {
 			critpath.CatOPNContention: int64(msg.waits),
 		}, critpath.CatOPNHop)
 		et := (at.Row-1)*4 + (at.Col - 1)
-		c.ets[et].deliverOperand(msg.slot, msg.seq, msg.target, msg.val, ev)
+		c.ets[et].deliverOperand(int(msg.slot), msg.seq, msg.target, msg.val, ev)
 		if c.trace != nil {
 			c.traceOperand(now, at, msg)
 		}
@@ -838,7 +886,7 @@ func (c *Core) traceOperand(now int64, at micronet.Coord, msg *opnMsg) {
 	}
 	c.trace.Emit(obs.Event{
 		Cycle: now, Seq: msg.seq, Addr: obs.PackCoord(at.Row, at.Col),
-		Arg:  obs.PackPair(msg.hops, msg.waits),
+		Arg:  obs.PackPair(int(msg.hops), int(msg.waits)),
 		Kind: obs.KindOperand, Cat: tag, Slot: int16(msg.slot),
 	})
 }
@@ -869,29 +917,40 @@ func (c *Core) applyGCN(now int64, at micronet.Coord, cmd gcnMsg) {
 	}
 	switch cmd.kind {
 	case gcnCommit:
+		slot := int(cmd.slot)
+		// The frame stays allocated at the GT until the tiles acknowledge
+		// this very command, so its commit event is still in place.
+		ev := c.gt.slots[slot].commitEv
 		switch {
 		case at.Row == 0:
-			c.rts[at.Col-1].onCommitCommand(now, cmd.slot, cmd.seq, cmd.ev)
+			c.rts[at.Col-1].onCommitCommand(now, slot, cmd.seq, ev)
 		case at.Col == 0:
-			c.dts[at.Row-1].onCommitCommand(now, cmd.slot, cmd.seq, cmd.ev)
+			c.dts[at.Row-1].onCommitCommand(now, slot, cmd.seq, ev)
 		default:
 			et := (at.Row-1)*4 + (at.Col - 1)
-			c.ets[et].onCommit(cmd.slot, cmd.seq)
+			c.ets[et].onCommit(slot, cmd.seq)
 		}
 	case gcnFlush:
+		f := &c.flushes[cmd.seq]
 		for s := 0; s < NumSlots; s++ {
 			if cmd.mask&(1<<uint(s)) == 0 {
 				continue
 			}
 			switch {
 			case at.Row == 0:
-				c.rts[at.Col-1].flush(s, cmd.seqs[s])
+				c.rts[at.Col-1].flush(s, f.seqs[s])
 			case at.Col == 0:
-				c.dts[at.Row-1].flush(s, cmd.seqs[s])
+				c.dts[at.Row-1].flush(s, f.seqs[s])
 			default:
 				et := (at.Row-1)*4 + (at.Col - 1)
-				c.ets[et].flush(s, cmd.seqs[s])
+				c.ets[et].flush(s, f.seqs[s])
 			}
+		}
+		// The wave reaches the far corner last (Manhattan distance from the
+		// GT, row-major delivery within a cycle): nothing reads the record
+		// after this.
+		if at == (micronet.Coord{Row: c.gcn.Rows - 1, Col: c.gcn.Cols - 1}) {
+			f.live = false
 		}
 	}
 }
@@ -1124,26 +1183,7 @@ func (c *Core) Run() (Result, error) {
 			return Result{}, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.cycle, c.CommittedBlocks)
 		}
 	}
-	return c.buildResult(), nil
-}
-
-// buildResult summarizes the run; shared by Run and the bounded-lag runner.
-func (c *Core) buildResult() Result {
-	res := Result{
-		Cycles:          c.cycle,
-		CommittedBlocks: c.CommittedBlocks,
-		CommittedInsts:  c.CommittedInsts,
-		Flushes:         uint64(c.gt.Flushes),
-		Mispredicts:     c.gt.Mispredicts,
-		Violations:      c.gt.ViolationFlushes,
-	}
-	if res.Cycles > 0 {
-		res.IPC = float64(res.CommittedInsts) / float64(res.Cycles)
-	}
-	if c.cfg.TrackCritPath && c.gt.lastCommitEv != nil {
-		res.CritPath = critpath.Finish(c.gt.lastCommitEv)
-	}
-	return res
+	return c.Result(), nil
 }
 
 // DebugState summarizes per-tile block state for deadlock diagnosis.
@@ -1210,8 +1250,8 @@ func (c *Core) SetLagFaults(horizonOverride, deadlinePad int64) {
 	c.lagDeadlinePad = deadlinePad
 }
 
-// Result returns the current run statistics (used by chip-level loops
-// that step cores manually instead of calling Run).
+// Result returns the current run statistics: Run's summary, and what
+// chip-level loops that step cores manually read instead of calling Run.
 func (c *Core) Result() Result {
 	res := Result{
 		Cycles:          c.cycle,
@@ -1224,7 +1264,7 @@ func (c *Core) Result() Result {
 	if res.Cycles > 0 {
 		res.IPC = float64(res.CommittedInsts) / float64(res.Cycles)
 	}
-	if c.cfg.TrackCritPath && c.gt.lastCommitEv != nil {
+	if c.cfg.TrackCritPath {
 		res.CritPath = critpath.Finish(c.gt.lastCommitEv)
 	}
 	return res

@@ -25,9 +25,9 @@ func physical(addr uint64) uint64 { return addr &^ UncachedBit }
 // pendingLoad is a load awaiting cache data or prior-store completion.
 type pendingLoad struct {
 	msg     *opnMsg
-	ev      *critpath.Event // arrival event at this DT
-	readyAt int64           // cache hit completion time (0 = not yet accessed)
-	waiting bool            // stalled on prior stores (dependence predictor)
+	ev      critpath.Event // arrival event at this DT
+	readyAt int64          // cache hit completion time (0 = not yet accessed)
+	waiting bool           // stalled on prior stores (dependence predictor)
 }
 
 // dtTile is one of the four data tiles: a 2-way 8KB L1 data-cache bank, a
@@ -50,7 +50,9 @@ type dtTile struct {
 	storeMask  [NumSlots]uint32
 	storeSeen  [NumSlots]uint32
 	maskKnown  [NumSlots]bool
-	bindEv     [NumSlots]*critpath.Event // dispatch-time dependency for 0-store blocks
+	// evs holds the per-frame critical-path events, allocated only under
+	// TrackCritPath and cleared when a frame is bound.
+	evs *[NumSlots]dtSlotEvs
 
 	// Inbound memory operations: the LSQ accepts one load or store per
 	// cycle (paper Section 3.5).
@@ -68,7 +70,6 @@ type dtTile struct {
 	// Commit drains: stores flowing to the cache bank, one per cycle.
 	drains     map[uint64][]*lsq.Entry // seq -> remaining stores
 	drainOrder micronet.Queue[uint64]
-	drainEvs   map[uint64]*critpath.Event
 	uncachedSt map[*lsq.Entry]int // uncached store commit state (1 in flight, 2 done)
 	// wb is the one-entry back-side coalescing write buffer (paper 3.5):
 	// a committed store that misses the bank retires into the buffer while
@@ -83,11 +84,8 @@ type dtTile struct {
 	finishSent [NumSlots]bool
 	ackOwn     [NumSlots]bool
 	ackEast    [NumSlots]bool
-	ackOwnEv   [NumSlots]*critpath.Event
-	ackEastEv  [NumSlots]*critpath.Event
 	ackSent    [NumSlots]bool
 	committing [NumSlots]bool
-	commitEv   [NumSlots]*critpath.Event
 
 	outQ micronet.Queue[*opnMsg]
 	dsnQ micronet.Queue[dsnMsg]
@@ -106,11 +104,20 @@ type dtTile struct {
 	wakeAt int64
 
 	// fetchFree pools line-fetch requests so the hot fill path neither
-	// allocates a MemRequest nor a Done closure per miss.
+	// allocates a MemRequest nor a Done closure per miss; loadFree pools
+	// pendingLoads, recycled by replyLoad.
 	fetchFree []*dtFetch
+	loadFree  []*pendingLoad
 
 	// Stats.
 	Loads, Stores, NullStores, Hits, MissesStat, StallsDep, ViolationsStat uint64
+}
+
+// dtSlotEvs is a DT's critical-path record of one frame.
+type dtSlotEvs struct {
+	bind    critpath.Event // store-mask arrival: dispatch-time dependency for 0-store blocks
+	commit  critpath.Event // commit command arrival, which is also this DT's own ack
+	ackEast critpath.Event
 }
 
 func newDT(core *Core, id int) *dtTile {
@@ -120,8 +127,10 @@ func newDT(core *Core, id int) *dtTile {
 		mshr:       cache.NewMSHR(4, 16),
 		dep:        lsq.NewDepPredictor(),
 		drains:     make(map[uint64][]*lsq.Entry),
-		drainEvs:   make(map[uint64]*critpath.Event),
 		uncachedSt: make(map[*lsq.Entry]int),
+	}
+	if core.cfg.TrackCritPath {
+		d.evs = new([NumSlots]dtSlotEvs)
 	}
 	for t := range d.lsqs {
 		d.lsqs[t] = lsq.New()
@@ -168,11 +177,11 @@ func (d *dtTile) bindSlot(slot int, seq uint64, thread int, mask uint32) {
 	d.finishSent[slot] = false
 	d.ackOwn[slot] = false
 	d.ackEast[slot] = false
-	d.ackOwnEv[slot] = nil
-	d.ackEastEv[slot] = nil
 	d.ackSent[slot] = false
 	d.committing[slot] = false
-	d.commitEv[slot] = nil
+	if d.evs != nil {
+		d.evs[slot] = dtSlotEvs{}
+	}
 }
 
 // enqueue accepts an arriving OPN memory operation.
@@ -335,7 +344,7 @@ func (d *dtTile) pumpUncached(now int64) {
 					v = v<<8 | uint64(data[i])
 				}
 				ev := d.core.newEvent(d.core.cycle, pl.ev, critpath.Split{}, critpath.CatOther)
-				d.replyLoad(d.core.cycle+1, msg, Value{Bits: extendValue(v, msg.memOp)}, ev)
+				d.replyLoad(pl, Value{Bits: extendValue(v, msg.memOp)}, ev)
 			}}
 		if !d.port.Submit(req) {
 			return
@@ -389,9 +398,15 @@ func (d *dtTile) acceptOne(now int64) {
 	}
 }
 
-func (d *dtTile) handleLoad(now int64, msg *opnMsg, ev *critpath.Event) {
+func (d *dtTile) handleLoad(now int64, msg *opnMsg, ev critpath.Event) {
 	d.Loads++
-	pl := &pendingLoad{msg: msg, ev: ev}
+	var pl *pendingLoad
+	if n := len(d.loadFree); n > 0 {
+		pl, d.loadFree = d.loadFree[n-1], d.loadFree[:n-1]
+	} else {
+		pl = new(pendingLoad)
+	}
+	*pl = pendingLoad{msg: msg, ev: ev}
 	// A dependence prediction occurs in parallel with the cache access when
 	// the load arrives at the DT (paper Section 3.5). A load whose
 	// predictor entry is set stalls until all prior stores have completed.
@@ -408,7 +423,7 @@ func (d *dtTile) handleLoad(now int64, msg *opnMsg, ev *critpath.Event) {
 // the cache bank.
 func (d *dtTile) issueLoad(now int64, pl *pendingLoad) {
 	msg := pl.msg
-	key := lsq.OrderKey(msg.seq, msg.lsid)
+	key := lsq.OrderKey(msg.seq, int(msg.lsid))
 	width := isa.MemWidth(msg.memOp)
 	res, data, err := d.lsqs[msg.thread].InsertLoad(key, msg.seq, msg.addr, width)
 	if err != nil {
@@ -419,7 +434,7 @@ func (d *dtTile) issueLoad(now int64, pl *pendingLoad) {
 	switch res {
 	case lsq.LoadForwarded:
 		v := extendValue(data, msg.memOp)
-		d.replyLoad(now+1, msg, Value{Bits: v}, pl.ev)
+		d.replyLoad(pl, Value{Bits: v}, pl.ev)
 	case lsq.LoadConflict:
 		// Stays buffered in the LSQ; replayed by replayConflicts once the
 		// overlapping store drains.
@@ -435,11 +450,11 @@ func (d *dtTile) loadFromCachePath(now int64, pl *pendingLoad) {
 	msg := pl.msg
 	width := isa.MemWidth(msg.memOp)
 	if v, ok := d.drainQueueValue(msg.addr, width); ok {
-		d.replyLoad(now+1, msg, Value{Bits: extendValue(v, msg.memOp)}, pl.ev)
+		d.replyLoad(pl, Value{Bits: extendValue(v, msg.memOp)}, pl.ev)
 		return
 	}
 	if v, ok := d.wbValue(msg.addr, width); ok {
-		d.replyLoad(now+1, msg, Value{Bits: extendValue(v, msg.memOp)}, pl.ev)
+		d.replyLoad(pl, Value{Bits: extendValue(v, msg.memOp)}, pl.ev)
 		return
 	}
 	d.accessCache(now, pl)
@@ -455,12 +470,8 @@ func (d *dtTile) accessCache(now int64, pl *pendingLoad) {
 		d.uncachedQ.Push(pl)
 		return
 	}
-	if raw, ok := d.bank.Read(msg.addr, width); ok {
+	if v, ok := d.bank.ReadUint(msg.addr, width); ok {
 		d.Hits++
-		var v uint64
-		for i := width - 1; i >= 0; i-- {
-			v = v<<8 | uint64(raw[i])
-		}
 		pl.readyAt = now + dtCacheCycles
 		pl.msg.data = Value{Bits: extendValue(v, msg.memOp)}
 		d.hitQ = append(d.hitQ, pl)
@@ -497,16 +508,12 @@ func (d *dtTile) fillLine(line uint64, data []byte) {
 			continue // flushed while missing
 		}
 		width := isa.MemWidth(msg.memOp)
-		raw, ok := d.bank.Read(msg.addr, width)
+		v, ok := d.bank.ReadUint(msg.addr, width)
 		if !ok {
 			continue // line raced out; extremely unlikely with 2 ways
 		}
-		var v uint64
-		for i := width - 1; i >= 0; i-- {
-			v = v<<8 | uint64(raw[i])
-		}
 		missEv := d.core.newEvent(now, pl.ev, critpath.Split{}, critpath.CatOther)
-		d.replyLoad(now+1, msg, Value{Bits: extendValue(v, msg.memOp)}, missEv)
+		d.replyLoad(pl, Value{Bits: extendValue(v, msg.memOp)}, missEv)
 	}
 }
 
@@ -527,14 +534,16 @@ func (d *dtTile) completeHits(now int64) {
 			continue
 		}
 		ev := d.core.newEvent(now, pl.ev, critpath.Split{}, critpath.CatOther)
-		d.replyLoad(now, msg, msg.data, ev)
+		d.replyLoad(pl, msg.data, ev)
 	}
 	d.hitQ = kept
 }
 
 // replyLoad routes the loaded value to the load's target instructions. The
-// request message is fully consumed here, so it returns to the pool.
-func (d *dtTile) replyLoad(_ int64, msg *opnMsg, v Value, ev *critpath.Event) {
+// request is fully consumed here — it has left every DT queue and MSHR waiter
+// list — so its message and its pendingLoad return to their pools.
+func (d *dtTile) replyLoad(pl *pendingLoad, v Value, ev critpath.Event) {
+	msg := pl.msg
 	for _, tgt := range []isa.Target{msg.ldT0, msg.ldT1} {
 		if !tgt.Valid() {
 			continue
@@ -553,14 +562,15 @@ func (d *dtTile) replyLoad(_ int64, msg *opnMsg, v Value, ev *critpath.Event) {
 		d.outQ.Push(m)
 	}
 	d.core.freeOPNMsg(msg)
+	d.loadFree = append(d.loadFree, pl)
 }
 
-func (d *dtTile) handleStore(now int64, msg *opnMsg, ev *critpath.Event) {
+func (d *dtTile) handleStore(now int64, msg *opnMsg, ev critpath.Event) {
 	d.Stores++
 	if msg.data.Null {
 		d.NullStores++
 	}
-	key := lsq.OrderKey(msg.seq, msg.lsid)
+	key := lsq.OrderKey(msg.seq, int(msg.lsid))
 	width := isa.MemWidth(msg.memOp)
 	violated, err := d.lsqs[msg.thread].InsertStore(key, msg.seq, msg.addr, width, msg.data.Bits, msg.data.Null)
 	if err != nil {
@@ -573,27 +583,18 @@ func (d *dtTile) handleStore(now int64, msg *opnMsg, ev *critpath.Event) {
 		d.ViolationsStat++
 		v := violated[0]
 		d.dep.Mispredicted(v.Addr)
-		d.gsnOut.Push(gsnMsg{
-			kind: gsnViolation, seq: msg.seq, violSeq: v.BlockSeq, violAddr: v.Addr,
-			ev: d.core.newEvent(now, ev, critpath.Split{}, critpath.CatOther),
-		})
+		d.gsnOut.Push(gsnMsg{kind: gsnViolation, seq: msg.seq, violSeq: v.BlockSeq, violAddr: v.Addr})
 	}
 	// Record the store locally and notify the other DTs on the DSN.
-	d.noteStore(now, msg.slot, msg.seq, msg.lsid, ev)
+	if d.slotSeq[msg.slot] == msg.seq {
+		d.storeSeen[msg.slot] |= 1 << msg.lsid
+	}
 	if d.id == 0 {
-		d.core.noteStoreEv(msg.slot, msg.seq, ev)
+		d.core.noteStoreEv(int(msg.slot), msg.seq, ev)
 	}
 	d.dsnQ.Push(dsnMsg{slot: msg.slot, seq: msg.seq, thread: msg.thread, lsid: msg.lsid, ev: ev})
 	// The store request is fully consumed (the LSQ copied its payload).
 	d.core.freeOPNMsg(msg)
-}
-
-// noteStore marks a store LSID as received for a frame.
-func (d *dtTile) noteStore(_ int64, slot int, seq uint64, lsid int, _ *critpath.Event) {
-	if d.slotSeq[slot] != seq {
-		return
-	}
-	d.storeSeen[slot] |= 1 << uint(lsid)
 }
 
 // pumpDSN consumes store notices from the other DTs.
@@ -605,10 +606,10 @@ func (d *dtTile) pumpDSN(now int64) {
 		}
 		d.core.dsn.Pop(d.id)
 		if d.slotSeq[msg.slot] == msg.seq {
-			d.storeSeen[msg.slot] |= 1 << uint(msg.lsid)
+			d.storeSeen[msg.slot] |= 1 << msg.lsid
 			if d.id == 0 {
 				// Track the latest store arrival for completion events.
-				d.core.noteStoreEv(msg.slot, msg.seq, d.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete))
+				d.core.noteStoreEv(int(msg.slot), msg.seq, d.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete))
 			}
 		}
 	}
@@ -629,7 +630,7 @@ func (d *dtTile) drainDSNQ() {
 func (d *dtTile) priorStoresSeen(msg *opnMsg) bool {
 	for s := 0; s < NumSlots; s++ {
 		seq := d.slotSeq[s]
-		if seq == 0 || d.slotThread[s] != msg.thread {
+		if seq == 0 || d.slotThread[s] != int(msg.thread) {
 			continue
 		}
 		if seq > msg.seq {
@@ -645,7 +646,7 @@ func (d *dtTile) priorStoresSeen(msg *opnMsg) bool {
 			continue
 		}
 		// Same block: stores with lower LSIDs must all be in.
-		prior := d.storeMask[s] & (1<<uint(msg.lsid) - 1)
+		prior := d.storeMask[s] & (1<<msg.lsid - 1)
 		if d.storeSeen[s]&prior != prior {
 			return false
 		}
@@ -695,7 +696,7 @@ func (d *dtTile) replayConflicts(now int64) {
 // replies can be routed after replay.
 func (d *dtTile) findConflictLoad(e *lsq.Entry) *pendingLoad {
 	for _, pl := range d.conflictLoads {
-		if lsq.OrderKey(pl.msg.seq, pl.msg.lsid) == e.Key {
+		if lsq.OrderKey(pl.msg.seq, int(pl.msg.lsid)) == e.Key {
 			return pl
 		}
 	}
@@ -740,9 +741,12 @@ func (d *dtTile) checkFinish(now int64) {
 		if !d.core.gsnDT.CanSend(1) {
 			continue
 		}
-		dep := critpath.Latest(d.core.storeEv(s, d.slotSeq[s]), d.bindEv[s])
-		ev := d.core.newEvent(now, dep, critpath.Split{}, critpath.CatComplete)
-		d.core.gsnDT.Send(1, gsnMsg{kind: gsnFinishS, slot: s, seq: d.slotSeq[s], ev: ev})
+		msg := gsnMsg{kind: gsnFinishS, slot: uint8(s), seq: d.slotSeq[s]}
+		if d.evs != nil {
+			dep := critpath.Latest(d.core.storeEv(s, d.slotSeq[s]), d.evs[s].bind)
+			msg.ev = critpath.New(now, dep, critpath.Split{}, critpath.CatComplete)
+		}
+		d.core.gsnDT.Send(1, msg)
 		d.finishSent[s] = true
 	}
 }
@@ -752,20 +756,20 @@ func (d *dtTile) checkFinish(now int64) {
 // still see them), which architecturally commits them — so the commit
 // acknowledgment does not wait for slow line fills; those complete in the
 // background through the write buffer.
-func (d *dtTile) onCommitCommand(now int64, slot int, seq uint64, ev *critpath.Event) {
+func (d *dtTile) onCommitCommand(now int64, slot int, seq uint64, ev critpath.Event) {
 	d.wake()
 	if d.slotSeq[slot] != seq {
 		return
 	}
 	d.committing[slot] = true
-	d.commitEv[slot] = d.core.newEvent(now, ev, critpath.Split{}, critpath.CatCommit)
+	if d.evs != nil {
+		d.evs[slot].commit = critpath.New(now, ev, critpath.Split{}, critpath.CatCommit)
+	}
 	thread := d.slotThread[slot]
 	stores := d.lsqs[thread].CommitBlock(seq)
 	d.drains[seq] = stores
 	d.drainOrder.Push(seq)
-	d.drainEvs[seq] = d.commitEv[slot]
 	d.ackOwn[slot] = true
-	d.ackOwnEv[slot] = d.commitEv[slot]
 	d.dep.OnBlockCommit()
 }
 
@@ -780,7 +784,6 @@ func (d *dtTile) pumpDrain(now int64) {
 		if len(stores) == 0 {
 			delete(d.drains, seq)
 			d.drainOrder.Pop()
-			delete(d.drainEvs, seq)
 		} else {
 			st := stores[0]
 			if d.commitStore(st) {
@@ -799,8 +802,11 @@ func (d *dtTile) pumpDrain(now int64) {
 		if !d.core.gsnDT.CanSend(d.id + 1) {
 			continue
 		}
-		ev := d.core.newEvent(now, critpath.Latest(d.ackOwnEv[s], d.ackEastEv[s]), critpath.Split{}, critpath.CatCommit)
-		d.core.gsnDT.Send(d.id+1, gsnMsg{kind: gsnAckS, slot: s, seq: d.slotSeq[s], ev: ev})
+		msg := gsnMsg{kind: gsnAckS, slot: uint8(s), seq: d.slotSeq[s]}
+		if d.evs != nil {
+			msg.ev = critpath.New(now, critpath.Latest(d.evs[s].commit, d.evs[s].ackEast), critpath.Split{}, critpath.CatCommit)
+		}
+		d.core.gsnDT.Send(d.id+1, msg)
 		d.ackSent[s] = true
 		d.slotSeq[s] = 0
 	}
@@ -934,7 +940,7 @@ func (d *dtTile) drainQueueValue(addr uint64, width int) (uint64, bool) {
 // pumpGSN consumes DT-chain messages from the south neighbor (DT id+1).
 func (d *dtTile) pumpGSN(now int64) {
 	node := d.id + 1
-	if node >= d.core.gsnDT.N-1 {
+	if node >= d.core.gsnDT.N-1 || d.core.gsnDT.Quiet() {
 		return
 	}
 	msg, ok := d.core.gsnDT.Recv(node)
@@ -945,7 +951,9 @@ func (d *dtTile) pumpGSN(now int64) {
 	case gsnAckS:
 		if d.slotSeq[msg.slot] == msg.seq {
 			d.ackEast[msg.slot] = true
-			d.ackEastEv[msg.slot] = d.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
+			if d.evs != nil {
+				d.evs[msg.slot].ackEast = critpath.New(now, msg.ev, critpath.Split{}, critpath.CatCommit)
+			}
 		}
 		d.core.gsnDT.Pop(node)
 	case gsnViolation, gsnFinishS:
@@ -971,7 +979,7 @@ func (d *dtTile) flush(slot int, seq uint64) {
 	filt := func(s []*pendingLoad) []*pendingLoad {
 		kept := s[:0]
 		for _, pl := range s {
-			if !(pl.msg.slot == slot && pl.msg.seq == seq) {
+			if !(int(pl.msg.slot) == slot && pl.msg.seq == seq) {
 				kept = append(kept, pl)
 			}
 		}
@@ -982,13 +990,13 @@ func (d *dtTile) flush(slot int, seq uint64) {
 	d.conflictLoads = filt(d.conflictLoads)
 	d.cacheRetry = filt(d.cacheRetry)
 	d.uncachedQ.Filter(func(pl *pendingLoad) bool {
-		return !(pl.msg.slot == slot && pl.msg.seq == seq)
+		return !(int(pl.msg.slot) == slot && pl.msg.seq == seq)
 	})
 	d.outQ.Filter(func(m *opnMsg) bool {
-		return !(m.slot == slot && m.seq == seq)
+		return !(int(m.slot) == slot && m.seq == seq)
 	})
 	d.inQ.Filter(func(m *opnMsg) bool {
-		return !(m.slot == slot && m.seq == seq)
+		return !(int(m.slot) == slot && m.seq == seq)
 	})
 }
 

@@ -12,7 +12,6 @@ import (
 type operand struct {
 	have bool
 	v    Value
-	ev   *critpath.Event
 }
 
 // station is one reservation station: an instruction plus two 64-bit data
@@ -25,18 +24,26 @@ type station struct {
 	left    operand
 	right   operand
 	pred    operand
-	arrEv   *critpath.Event // instruction arrival (GDN dispatch)
+}
+
+// stationEvs is a station's critical-path side record: the arrival events of
+// the instruction (GDN dispatch) and of its left, right and predicate
+// operands. An entry is read only while its station field is filled, so
+// frames are never cleared.
+type stationEvs struct {
+	arr critpath.Event
+	op  [3]critpath.Event // by OperandKind - OpLeft
 }
 
 // inflight is an operation in the execution pipeline.
 type inflight struct {
 	doneAt int64
-	slot   int
 	seq    uint64
-	thread int
-	st     *station
 	result Value
-	ev     *critpath.Event
+	ev     critpath.Event
+	slot   uint8
+	thread uint8
+	st     uint8 // station within the frame
 }
 
 // etTile is one of the sixteen execution tiles: a single-issue pipeline, a
@@ -48,7 +55,10 @@ type etTile struct {
 	id   int
 	at   micronet.Coord
 
-	stations   [NumSlots][isa.SlotsPerET]station
+	stations [NumSlots][isa.SlotsPerET]station
+	// evs is allocated only under TrackCritPath; an untracked run keeps no
+	// per-operand critical-path state at all.
+	evs        *[NumSlots][isa.SlotsPerET]stationEvs
 	slotSeq    [NumSlots]uint64 // 0 = frame unbound
 	slotThread [NumSlots]int
 	// pending[slot] counts stations that are present and not yet fired.
@@ -85,7 +95,11 @@ type etTile struct {
 }
 
 func newET(core *Core, id int) *etTile {
-	return &etTile{core: core, id: id, at: etCoord(id)}
+	e := &etTile{core: core, id: id, at: etCoord(id)}
+	if core.cfg.TrackCritPath {
+		e.evs = new([NumSlots][isa.SlotsPerET]stationEvs)
+	}
+	return e
 }
 
 // wake registers external work (dispatch, delivery, commit, flush) and
@@ -110,7 +124,7 @@ func (e *etTile) bindSlot(slot int, seq uint64, thread int) {
 // deliverInst installs a dispatched instruction into its reservation
 // station ("written into ... the reservation stations in the ETs when they
 // arrive, and are available to execute as soon as they arrive", paper 4.1).
-func (e *etTile) deliverInst(slot int, seq uint64, index int, in isa.Inst, ev *critpath.Event) {
+func (e *etTile) deliverInst(slot int, seq uint64, index int, in *isa.Inst, ev critpath.Event) {
 	e.wake()
 	if e.slotSeq[slot] != seq {
 		return // stale dispatch (frame was flushed and rebound)
@@ -120,9 +134,11 @@ func (e *etTile) deliverInst(slot int, seq uint64, index int, in isa.Inst, ev *c
 	// in the station; instruction arrival must not clear them.
 	wasPending := s.present && !s.fired
 	s.present = true
-	s.inst = in
+	s.inst = *in
 	s.index = index
-	s.arrEv = ev
+	if e.evs != nil {
+		e.evs[slot][isa.SlotOf(index)].arr = ev
+	}
 	if in.Op == isa.NOP {
 		s.fired = true
 		return
@@ -151,7 +167,7 @@ func (e *etTile) reeval(slot, i int) {
 }
 
 // deliverOperand fills an operand field from the OPN or the local bypass.
-func (e *etTile) deliverOperand(slot int, seq uint64, tgt isa.Target, v Value, ev *critpath.Event) {
+func (e *etTile) deliverOperand(slot int, seq uint64, tgt isa.Target, v Value, ev critpath.Event) {
 	e.wake()
 	if e.slotSeq[slot] != seq {
 		e.DroppedStale++
@@ -180,7 +196,10 @@ func (e *etTile) deliverOperand(slot int, seq uint64, tgt isa.Target, v Value, e
 	if op.have {
 		return // keep the first arrival (complementary-path duplicate)
 	}
-	*op = operand{have: true, v: v, ev: ev}
+	*op = operand{have: true, v: v}
+	if e.evs != nil {
+		e.evs[slot][isa.SlotOf(tgt.Index)].op[tgt.Kind-isa.OpLeft] = ev
+	}
 	if s.present {
 		e.reeval(slot, isa.SlotOf(tgt.Index))
 	}
@@ -255,9 +274,10 @@ func (e *etTile) tick(now int64) {
 
 func (e *etTile) completeFinished(now int64) {
 	kept := e.pipe[:0]
-	for _, f := range e.pipe {
+	for i := range e.pipe {
+		f := &e.pipe[i]
 		if f.doneAt > now {
-			kept = append(kept, f)
+			kept = append(kept, *f)
 			continue
 		}
 		if e.slotSeq[f.slot] == f.seq {
@@ -302,27 +322,25 @@ func (e *etTile) selectAndIssue(now int64) (issued, blocked bool) {
 	e.readyMask[bestSlot] &^= 1 << uint(bestIdx)
 	e.Issued++
 
-	// The issue time was determined by the last-arriving dependency.
-	parent := best.arrEv
-	parentCat := critpath.CatIFetch
-	consider := func(op *operand) {
-		if op.have && op.ev != nil && (parent == nil || op.ev.Cycle >= parent.Cycle) {
-			parent = op.ev
-			parentCat = critpath.CatOther
-		}
-	}
-	consider(&best.left)
-	consider(&best.right)
-	consider(&best.pred)
-
 	null := (in.NeedsLeft() && best.left.v.Null) ||
 		(in.NeedsRight() && best.right.v.Null) ||
 		(in.Pred.Predicated() && best.pred.v.Null)
 
-	// Cycles between the last arrival and issue are select/ALU contention
-	// (Other) when an operand was last, instruction distribution (IFetch)
-	// when the instruction itself was.
-	issueEv := e.core.newEvent(now, parent, critpath.Split{}, parentCat)
+	// The issue time was determined by the last-arriving dependency. Cycles
+	// between the last arrival and issue are select/ALU contention (Other)
+	// when an operand was last, instruction distribution (IFetch) when the
+	// instruction itself was.
+	var issueEv critpath.Event
+	if e.evs != nil {
+		sv := &e.evs[bestSlot][bestIdx]
+		parent, parentCat := sv.arr, critpath.CatIFetch
+		for k, op := range [...]*operand{&best.left, &best.right, &best.pred} {
+			if op.have && sv.op[k].Cycle >= parent.Cycle {
+				parent, parentCat = sv.op[k], critpath.CatOther
+			}
+		}
+		issueEv = critpath.New(now, parent, critpath.Split{}, parentCat)
+	}
 
 	lat := int64(in.Op.Latency())
 	if null {
@@ -334,9 +352,7 @@ func (e *etTile) selectAndIssue(now int64) (issued, blocked bool) {
 		// execution latency is the "fanout ops" overhead of Table 3.
 		execCat = critpath.CatFanout
 	}
-	var split critpath.Split
-	split[execCat] = lat
-	doneEv := e.core.newEvent(now+lat, issueEv, split, execCat)
+	doneEv := e.core.newEvent(now+lat, issueEv, critpath.Split{}, execCat)
 
 	if !in.Op.Pipelined() {
 		e.divBusyUntil = now + lat
@@ -358,10 +374,10 @@ func (e *etTile) selectAndIssue(now int64) (issued, blocked bool) {
 	}
 	e.pipe = append(e.pipe, inflight{
 		doneAt: now + lat,
-		slot:   bestSlot,
+		slot:   uint8(bestSlot),
 		seq:    bestSeq,
-		thread: e.slotThread[bestSlot],
-		st:     best,
+		thread: uint8(e.slotThread[bestSlot]),
+		st:     uint8(bestIdx),
 		result: result,
 		ev:     doneEv,
 	})
@@ -371,8 +387,8 @@ func (e *etTile) selectAndIssue(now int64) (issued, blocked bool) {
 // route delivers a completed operation's outputs: locally bypassed operands
 // to this ET's own stations, OPN messages to remote tiles, memory requests
 // to the DTs, and branch outputs to the GT (paper Section 4.2).
-func (e *etTile) route(now int64, f inflight) {
-	in := &f.st.inst
+func (e *etTile) route(now int64, f *inflight) {
+	in := &e.stations[f.slot][f.st].inst
 	switch {
 	case in.Op.IsLoad():
 		if f.result.Null {
@@ -387,13 +403,13 @@ func (e *etTile) route(now int64, f inflight) {
 		*m = opnMsg{
 			dst: dtCoord(isa.DTOfAddr(addr)), kind: opnLoadReq,
 			slot: f.slot, seq: f.seq, thread: f.thread,
-			lsid: in.LSID, memOp: in.Op, addr: addr,
+			lsid: uint8(in.LSID), memOp: in.Op, addr: addr,
 			ldT0: in.T0, ldT1: in.T1, ev: f.ev,
 		}
 		e.outQ.Push(m)
 	case in.Op.IsStore():
 		addr := f.result.Bits
-		data := f.st.right.v
+		data := e.stations[f.slot][f.st].right.v
 		null := f.result.Null || data.Null
 		if null {
 			addr = 0
@@ -402,7 +418,7 @@ func (e *etTile) route(now int64, f inflight) {
 		*m = opnMsg{
 			dst: dtCoord(isa.DTOfAddr(addr)), kind: opnStoreReq,
 			slot: f.slot, seq: f.seq, thread: f.thread,
-			lsid: in.LSID, memOp: in.Op, addr: addr,
+			lsid: uint8(in.LSID), memOp: in.Op, addr: addr,
 			data: Value{Bits: data.Bits, Null: null}, ev: f.ev,
 		}
 		e.outQ.Push(m)
@@ -411,7 +427,7 @@ func (e *etTile) route(now int64, f inflight) {
 		*m = opnMsg{
 			dst: gtCoord(), kind: opnBranch,
 			slot: f.slot, seq: f.seq, thread: f.thread,
-			brOp: in.Op, brExit: in.Exit, brOffset: in.Offset,
+			brOp: in.Op, brExit: uint8(in.Exit), brOffset: in.Offset,
 			val: f.result, ev: f.ev,
 		}
 		e.outQ.Push(m)
@@ -423,7 +439,7 @@ func (e *etTile) route(now int64, f inflight) {
 
 // emitValue routes one result value to one target: same-ET targets use the
 // local bypass path (back-to-back issue); everything else crosses the OPN.
-func (e *etTile) emitValue(now int64, f inflight, tgt isa.Target, v Value, ev *critpath.Event) {
+func (e *etTile) emitValue(now int64, f *inflight, tgt isa.Target, v Value, ev critpath.Event) {
 	if !tgt.Valid() {
 		return
 	}
@@ -439,7 +455,7 @@ func (e *etTile) emitValue(now int64, f inflight, tgt isa.Target, v Value, ev *c
 	}
 	if isa.ETOf(tgt.Index) == e.id {
 		e.LocalBypass++
-		e.deliverOperand(f.slot, f.seq, tgt, v, ev)
+		e.deliverOperand(int(f.slot), f.seq, tgt, v, ev)
 		return
 	}
 	e.Remote++
@@ -479,11 +495,11 @@ func (e *etTile) flush(slot int, seq uint64) {
 	e.readyMask[slot] = 0
 	e.slotSeq[slot] = 0
 	e.outQ.Filter(func(m *opnMsg) bool {
-		return !(m.slot == slot && m.seq == seq)
+		return !(int(m.slot) == slot && m.seq == seq)
 	})
 	keptPipe := e.pipe[:0]
 	for _, f := range e.pipe {
-		if !(f.slot == slot && f.seq == seq) {
+		if !(int(f.slot) == slot && f.seq == seq) {
 			keptPipe = append(keptPipe, f)
 		}
 	}

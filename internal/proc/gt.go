@@ -31,21 +31,20 @@ type blockCtx struct {
 	branchNext  uint64
 	branchExit  int
 	branchKind  predictor.Kind
-	branchEv    *critpath.Event
+	branchEv    critpath.Event
 	writesDone  bool
-	writesEv    *critpath.Event
+	writesEv    critpath.Event
 	storesDone  bool
-	storesEv    *critpath.Event
+	storesEv    critpath.Event
 	mispChecked bool
 
-	// Commit tracking (phases two and three).
+	// Commit tracking (phases two and three). commitEv is also what the
+	// tiles take as the commit command's critical-path dependency.
 	commitSent bool
-	commitEv   *critpath.Event
+	commitEv   critpath.Event
 	ackR, ackS bool
-	ackREv     *critpath.Event
-	ackSEv     *critpath.Event
-
-	dispatchEv *critpath.Event
+	ackREv     critpath.Event
+	ackSEv     critpath.Event
 }
 
 func (b *blockCtx) complete() bool { return b.branchSeen && b.writesDone && b.storesDone }
@@ -123,7 +122,7 @@ type gtTile struct {
 
 	// Stats.
 	Fetches, Refills, Flushes, Mispredicts, ViolationFlushes, Commits uint64
-	lastCommitEv                                                      *critpath.Event
+	lastCommitEv                                                      critpath.Event
 }
 
 func newGT(core *Core) *gtTile {
@@ -204,12 +203,11 @@ func (g *gtTile) handleBranch(now int64, msg *opnMsg) {
 		panic(fmt.Sprintf("proc: block %#x produced two exit branches", b.addr))
 	}
 	b.branchSeen = true
-	b.branchExit = msg.brExit
-	arriveEv := g.core.newEvent(now, msg.ev, critpath.Split{
+	b.branchExit = int(msg.brExit)
+	b.branchEv = g.core.newEvent(now, msg.ev, critpath.Split{
 		critpath.CatOPNHop:        int64(msg.hops),
 		critpath.CatOPNContention: int64(msg.waits),
 	}, critpath.CatOPNHop)
-	b.branchEv = arriveEv
 	switch msg.brOp {
 	case isa.BRO:
 		b.branchKind = predictor.KindBranch
@@ -236,11 +234,11 @@ func (g *gtTile) pumpGSN(now int64) {
 			case gsnFinishR:
 				b.writesDone = true
 				b.writesEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete)
-				g.core.traceBlock(obs.KindWritesDone, msg.slot, msg.seq, b.addr, critpath.CatComplete)
+				g.core.traceBlock(obs.KindWritesDone, int(msg.slot), msg.seq, b.addr, critpath.CatComplete)
 			case gsnAckR:
 				b.ackR = true
 				b.ackREv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
-				g.core.traceBlock(obs.KindCommitAckR, msg.slot, msg.seq, b.addr, critpath.CatCommit)
+				g.core.traceBlock(obs.KindCommitAckR, int(msg.slot), msg.seq, b.addr, critpath.CatCommit)
 			}
 		}
 	}
@@ -252,13 +250,13 @@ func (g *gtTile) pumpGSN(now int64) {
 			if b.valid && b.seq == msg.seq {
 				b.storesDone = true
 				b.storesEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete)
-				g.core.traceBlock(obs.KindStoresDone, msg.slot, msg.seq, b.addr, critpath.CatComplete)
+				g.core.traceBlock(obs.KindStoresDone, int(msg.slot), msg.seq, b.addr, critpath.CatComplete)
 			}
 		case gsnAckS:
 			if b.valid && b.seq == msg.seq {
 				b.ackS = true
 				b.ackSEv = g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
-				g.core.traceBlock(obs.KindCommitAckS, msg.slot, msg.seq, b.addr, critpath.CatCommit)
+				g.core.traceBlock(obs.KindCommitAckS, int(msg.slot), msg.seq, b.addr, critpath.CatCommit)
 			}
 		case gsnViolation:
 			g.onViolation(now, msg)
@@ -296,7 +294,7 @@ func (g *gtTile) onViolation(now int64, msg gsnMsg) {
 	g.ViolationFlushes++
 	addr := victim.addr
 	thread := victim.thread
-	g.flushFrom(now, victim.seq, g.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatOther))
+	g.flushFrom(now, victim.seq)
 	g.threads[thread].nextFetch = addr
 	g.threads[thread].halted = false
 }
@@ -330,7 +328,7 @@ func (g *gtTile) checkMispredicts(now int64) {
 			}
 		}
 		if succSeq != 0 {
-			g.flushFrom(now, succSeq, g.core.newEvent(now, b.branchEv, critpath.Split{}, critpath.CatOther))
+			g.flushFrom(now, succSeq)
 		} else {
 			g.pred.Repair(b.succPred)
 			if t.lastSeq == b.seq && t.stage != fetchIdle {
@@ -348,9 +346,9 @@ func (g *gtTile) checkMispredicts(now int64) {
 
 // flushFrom squashes every in-flight block with seq >= from (same thread as
 // the named block), issuing a GCN flush wave and repairing the predictor.
-func (g *gtTile) flushFrom(now int64, from uint64, ev *critpath.Event) {
+func (g *gtTile) flushFrom(now int64, from uint64) {
 	var mask uint8
-	var seqs [8]uint64
+	var seqs [NumSlots]uint64
 	var oldest *blockCtx
 	thread := -1
 	for s := range g.slots {
@@ -390,7 +388,7 @@ func (g *gtTile) flushFrom(now int64, from uint64, ev *critpath.Event) {
 		})
 	}
 	g.pred.Repair(oldest.selfPred)
-	g.core.issueGCN(gcnMsg{kind: gcnFlush, mask: mask, seqs: seqs, ev: ev})
+	g.core.issueGCN(gcnMsg{kind: gcnFlush, mask: mask, seq: g.core.parkFlush(seqs)})
 	t := &g.threads[thread]
 	for s := range g.slots {
 		b := &g.slots[s]
@@ -405,10 +403,10 @@ func (g *gtTile) flushFrom(now int64, from uint64, ev *critpath.Event) {
 		t.stage = fetchIdle // squash the in-flight fetch
 		t.refillWait = false
 	}
-	// Younger dispatch schedules die via seq filtering at the tiles; the
-	// GDN becomes free for the refetch immediately (Section 4.3: the GT
-	// may issue a new dispatch as soon as the flush wave is on the GCN).
-	g.core.cancelScheduled(mask, seqs)
+	// Younger dispatch schedules die via seq filtering at the tiles — a
+	// refetch can never overtake a flush — and the GDN becomes free for the
+	// refetch immediately (Section 4.3: the GT may issue a new dispatch as
+	// soon as the flush wave is on the GCN).
 }
 
 // tryCommit runs phase two of the commit protocol: send pipelined commit
@@ -424,14 +422,11 @@ func (g *gtTile) tryCommit(now int64) {
 			if b == nil || !b.complete() {
 				break
 			}
-			if !g.core.canIssueGCN() {
-				break
-			}
 			g.core.markTimeline(b.seq, b.addr, "complete")
 			g.core.traceBlock(obs.KindBlockComplete, g.slotOf(b), b.seq, b.addr, critpath.CatComplete)
 			doneEv := critpath.Latest(critpath.Latest(b.branchEv, b.writesEv), b.storesEv)
 			b.commitEv = g.core.newEvent(now, doneEv, critpath.Split{}, critpath.CatComplete)
-			g.core.issueGCN(gcnMsg{kind: gcnCommit, slot: g.slotOf(b), seq: b.seq, ev: b.commitEv})
+			g.core.issueGCN(gcnMsg{kind: gcnCommit, slot: uint8(g.slotOf(b)), seq: b.seq})
 			b.commitSent = true
 			g.core.markTimeline(b.seq, b.addr, "commit")
 			g.core.traceBlock(obs.KindCommitCmd, g.slotOf(b), b.seq, b.addr, critpath.CatCommit)
@@ -617,8 +612,8 @@ func (g *gtTile) beginDispatch(now int64, ti, slot int, addr uint64) {
 	g.dispatchBusyUntil = now + dispatchBeats
 	g.core.markTimeline(seq, addr, "dispatch")
 	g.core.traceBlock(obs.KindBlockDispatch, slot, seq, addr, critpath.CatIFetch)
-	b.dispatchEv = g.core.newEvent(now, g.lastCommitEv, critpath.Split{}, critpath.CatIFetch)
-	g.core.scheduleDispatch(now, slot, seq, ti, addr, hdr, b.dispatchEv)
+	dispEv := g.core.newEvent(now, g.lastCommitEv, critpath.Split{}, critpath.CatIFetch)
+	g.core.scheduleDispatch(now, slot, seq, ti, addr, hdr, dispEv)
 	t.nextFetch = succPred.Next
 	t.lastSeq = seq
 	t.pendingPred = succPred

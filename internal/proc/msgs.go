@@ -35,40 +35,38 @@ const (
 // header launched a cycle ahead of the data is modeled by delivering the
 // message and allowing the consumer to wake and issue in back-to-back
 // cycles, so each hop between dependent instructions costs exactly one
-// cycle (Section 4.2).
+// cycle (Section 4.2). Messages are pooled and pointer-free: small fields
+// are narrowed to their architectural widths and the critical-path
+// dependency travels by value, so building, queueing and recycling one
+// moves plain bytes.
 type opnMsg struct {
-	dst    micronet.Coord
-	kind   opnKind
-	slot   int    // block frame 0..7
-	seq    uint64 // dynamic block number, for staleness filtering
-	thread int
-
-	// opnOperand / load reply payload.
-	target isa.Target
-	val    Value
-
-	// opnBranch payload.
-	brOp     isa.Opcode
-	brExit   int
-	brOffset int32
-
-	// opnLoadReq / opnStoreReq payload.
-	lsid  int
-	memOp isa.Opcode
-	addr  uint64
-	data  Value
-	ldT0  isa.Target // load reply targets
-	ldT1  isa.Target
-
-	// Transport accounting (paper Table 3: OPN hops vs contention).
-	hops, waits int
-
+	dst  micronet.Coord
+	seq  uint64 // dynamic block number, for staleness filtering
+	addr uint64 // opnLoadReq / opnStoreReq address
 	// tid is the per-message trace id stamped by a traced mesh at Inject
-	// (0 when tracing is off; cleared by the pool reset in freeOPNMsg).
+	// (0 when tracing is off).
 	tid uint64
 
+	target isa.Target // opnOperand / load reply target
+	ldT0   isa.Target // opnLoadReq reply targets
+	ldT1   isa.Target
+	val    Value // opnOperand / opnBranch payload
+	data   Value // opnStoreReq payload; a hitting load's value until its reply
+
 	// Critical-path dependency carried with the message.
-	ev *critpath.Event
+	ev critpath.Event
+
+	// Transport accounting (paper Table 3: OPN hops vs contention).
+	hops, waits int32
+	brOffset    int32
+
+	kind   opnKind
+	slot   uint8 // block frame 0..7
+	thread uint8
+	lsid   uint8
+	brExit uint8
+	brOp   isa.Opcode
+	memOp  isa.Opcode
 }
 
 func (m *opnMsg) Dest() micronet.Coord { return m.dst }
@@ -95,13 +93,13 @@ const (
 // gsnMsg is one global status network message (6-bit links in Table 2; the
 // violation report rides the same wires over multiple beats in hardware).
 type gsnMsg struct {
-	kind gsnKind
-	slot int
-	seq  uint64
+	seq uint64
 	// violation payload
 	violSeq  uint64 // block containing the violated load
 	violAddr uint64 // load address, for dependence-predictor training
-	ev       *critpath.Event
+	ev       critpath.Event
+	kind     gsnKind
+	slot     uint8
 }
 
 // gcnKind discriminates global control network commands.
@@ -115,31 +113,24 @@ const (
 // gcnMsg is one global control network command (13-bit links): commit one
 // block, or flush a set of blocks identified by a slot mask (Section 4.3:
 // "The GCN includes a block identifier mask indicating which block or
-// blocks must be flushed").
+// blocks must be flushed"). A commit packs into the word itself (its
+// critical-path event is the GT frame's commitEv); a flush carries the
+// handle of its per-slot sequence numbers, parked once in Core.flushes
+// until the wave's last delivery.
 type gcnMsg struct {
+	seq  uint64 // commit: the block's dynamic number; flush: parking handle
 	kind gcnKind
-	slot int    // commit: the committing block's frame
-	seq  uint64 // commit: its dynamic number
-	mask uint8  // flush: bit per slot
-	seqs [8]uint64
-	ev   *critpath.Event
-}
-
-// grnMsg is one global refill network command (36-bit links): the physical
-// address of the block whose chunks the ITs must fetch (Section 4.1).
-type grnMsg struct {
-	addr uint64
-	slot int
-	seq  uint64
+	slot uint8 // commit: the committing block's frame
+	mask uint8 // flush: bit per slot
 }
 
 // dsnMsg is one data status network notice (72-bit links): an executed
 // store's LSID and block identity, broadcast among the DTs so each can
 // track store completion without knowing the store's address (Section 4.4).
 type dsnMsg struct {
-	slot   int
 	seq    uint64
-	thread int
-	lsid   int
-	ev     *critpath.Event
+	ev     critpath.Event
+	slot   uint8
+	thread uint8
+	lsid   uint8
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"trips/internal/ckpt"
+	"trips/internal/critpath"
 	"trips/internal/flight"
 	"trips/internal/mem"
 	"trips/internal/obs"
@@ -11,7 +12,7 @@ import (
 
 // newSteadyStateCore builds a core running the 1..n loop for long enough
 // that stepping it mid-run measures the steady-state hot path.
-func newSteadyStateCore(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler) *Core {
+func newSteadyStateCore(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler, trackCritPath ...bool) *Core {
 	t.Helper()
 	p := loopProgram(t)
 	m := mem.New()
@@ -19,10 +20,11 @@ func newSteadyStateCore(t *testing.T, trace *obs.Tracer, metrics *obs.Sampler) *
 		t.Fatal(err)
 	}
 	c, err := NewCore(Config{
-		Program: p,
-		Mem:     NewFixedLatencyMem(m, 20),
-		Trace:   trace,
-		Metrics: metrics,
+		Program:       p,
+		Mem:           NewFixedLatencyMem(m, 20),
+		Trace:         trace,
+		Metrics:       metrics,
+		TrackCritPath: len(trackCritPath) > 0 && trackCritPath[0],
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +50,11 @@ func allocsPerCycle(c *Core) float64 {
 	return allocs / batch
 }
 
-// TestStepAllocsTracingOverhead is the zero-overhead-when-disabled guard.
-// The core has a small pre-existing per-dispatch allocation (the bodies
-// slice in scheduleDispatch), so the guard is differential: attaching a
-// tracer and sampler must add nothing to the steady-state allocation rate —
-// the ring overwrites in place and the series points halve in place. An
-// absolute bound on the untraced rate catches gross hot-path regressions
-// from any source.
+// TestStepAllocsTracingOverhead is the zero-overhead-when-disabled guard:
+// attaching a tracer and sampler must add nothing to the steady-state
+// allocation rate — the ring overwrites in place and the series points halve
+// in place — and the untraced rate itself is zero (the loop has no loads;
+// what a load still allocates is its pendingLoad and LSQ entry).
 func TestStepAllocsTracingOverhead(t *testing.T) {
 	off := allocsPerCycle(newSteadyStateCore(t, nil, nil))
 
@@ -72,8 +72,23 @@ func TestStepAllocsTracingOverhead(t *testing.T) {
 	if on > off+0.01 {
 		t.Errorf("tracing adds allocations: %.4f objects/cycle traced vs %.4f untraced", on, off)
 	}
-	if off > 0.25 {
-		t.Errorf("untraced steady-state Step allocates %.4f objects/cycle, want < 0.25 (baseline ~0.13)", off)
+	if off > 0.01 {
+		t.Errorf("untraced steady-state Step allocates %.4f objects/cycle, want 0", off)
+	}
+}
+
+// TestStepAllocsCritPath holds the critical-path analyzer to the same rule:
+// events are values inside the messages, stations and queue entries they
+// describe, so tracking adds no allocation at all to the per-cycle path.
+func TestStepAllocsCritPath(t *testing.T) {
+	off := allocsPerCycle(newSteadyStateCore(t, nil, nil))
+	tracked := newSteadyStateCore(t, nil, nil, true)
+	on := allocsPerCycle(tracked)
+	if on > 0.01 || off > 0.01 {
+		t.Errorf("steady-state Step allocates %.4f objects/cycle with critical-path tracking, %.4f without; want 0 and 0", on, off)
+	}
+	if r := tracked.Result().CritPath; r.TotalCycles == 0 || r.Cycles[critpath.CatOPNHop] == 0 {
+		t.Fatalf("tracked core reports no critical path (%+v); the test is not measuring the analyzer", r)
 	}
 }
 

@@ -3,6 +3,7 @@ package proc
 import (
 	"testing"
 
+	"trips/internal/critpath"
 	"trips/internal/isa"
 	"trips/internal/mem"
 )
@@ -142,7 +143,7 @@ func TestDispatchTiming(t *testing.T) {
 		c.its[k].chunks[p.Entry] = &itChunk{raw: data[k*isa.ChunkBytes : (k+1)*isa.ChunkBytes]}
 	}
 	start := c.cycle
-	c.scheduleDispatch(start, 0, 1, 0, p.Entry, hi, nil)
+	c.scheduleDispatch(start, 0, 1, 0, p.Entry, hi, critpath.Event{})
 	firstAt, lastAt := int64(-1), int64(-1)
 	rt3 := c.rts[3]
 	prevBeats := uint8(0)

@@ -13,7 +13,6 @@ type readEntry struct {
 	done     bool
 	gr       int
 	rt0, rt1 isa.Target
-	arrEv    *critpath.Event
 	// waiting: the read is buffered on a pending write of an older block.
 	waiting  bool
 	waitSlot int
@@ -29,7 +28,22 @@ type writeEntry struct {
 	gr    int
 	have  bool // value arrived from the OPN
 	val   Value
-	ev    *critpath.Event
+}
+
+// rtEvents is an RT's critical-path side record, allocated only under
+// TrackCritPath. The per-frame events are cleared when a frame is bound; a
+// queue entry's event is read only while the entry holds what it describes.
+type rtEvents struct {
+	slot    [NumSlots]rtSlotEvs
+	readArr [NumSlots][8]critpath.Event // read entry arrival (header beat)
+	write   [NumSlots][8]critpath.Event // write value arrival
+}
+
+type rtSlotEvs struct {
+	hdr                   critpath.Event // last header beat arrival
+	finishOwn, finishEast critpath.Event
+	commit                critpath.Event
+	ackOwn, ackEast       critpath.Event
 }
 
 // rtTile is one of the four register tiles: a 32-register architectural
@@ -47,34 +61,29 @@ type rtTile struct {
 	writeQ     [NumSlots][8]writeEntry
 	slotSeq    [NumSlots]uint64
 	slotThread [NumSlots]int
-	hdrBeats   [NumSlots]uint8           // header beats received (8 = complete)
-	hdrEv      [NumSlots]*critpath.Event // last header beat arrival
+	hdrBeats   [NumSlots]uint8 // header beats received (8 = complete)
+	evs        *rtEvents
 
 	// Block completion tracking (GSN finish-R daisy chain).
-	finishOwn    [NumSlots]bool
-	finishEast   [NumSlots]bool
-	finishOwnEv  [NumSlots]*critpath.Event
-	finishEastEv [NumSlots]*critpath.Event
-	finishSent   [NumSlots]bool
+	finishOwn  [NumSlots]bool
+	finishEast [NumSlots]bool
+	finishSent [NumSlots]bool
 
 	// Commit tracking (GCN command + drain + GSN ack daisy chain).
 	committing [NumSlots]bool
 	drainIdx   [NumSlots]int
-	commitEv   [NumSlots]*critpath.Event
 	ackOwn     [NumSlots]bool
 	ackEast    [NumSlots]bool
-	ackOwnEv   [NumSlots]*critpath.Event
-	ackEastEv  [NumSlots]*critpath.Event
 	ackSent    [NumSlots]bool
 
 	outQ micronet.Queue[*opnMsg]
 
 	// missingWrites counts, per frame, expected writes whose values have not
 	// arrived: incremented as header beats announce write-queue entries,
-	// decremented on delivery. Zero (with a complete header) is exactly the
-	// writesComplete condition, so the per-tick completion scan reduces to a
-	// counter compare; the event-chain walk runs once, at the completion
-	// instant.
+	// decremented on delivery. Zero (with a complete header) means every
+	// expected write has arrived, so the per-tick completion scan reduces to a
+	// counter compare; the event-chain walk (lastWrite) runs once, at the
+	// completion instant.
 	missingWrites [NumSlots]int
 
 	// unresolved counts read-queue entries in bound frames that are valid,
@@ -97,7 +106,11 @@ type rtTile struct {
 }
 
 func newRT(core *Core, id int) *rtTile {
-	return &rtTile{core: core, id: id, at: rtCoord(id)}
+	r := &rtTile{core: core, id: id, at: rtCoord(id)}
+	if core.cfg.TrackCritPath {
+		r.evs = new(rtEvents)
+	}
+	return r
 }
 
 // slotUnresolved counts slot s's read entries awaiting resolution.
@@ -123,34 +136,30 @@ func (r *rtTile) bindSlot(slot int, seq uint64, thread int) {
 	r.slotThread[slot] = thread
 	r.missingWrites[slot] = 0
 	r.hdrBeats[slot] = 0
-	r.hdrEv[slot] = nil
 	r.finishOwn[slot] = false
 	r.finishEast[slot] = false
-	r.finishOwnEv[slot] = nil
-	r.finishEastEv[slot] = nil
 	r.finishSent[slot] = false
 	r.committing[slot] = false
 	r.drainIdx[slot] = 0
-	r.commitEv[slot] = nil
 	r.ackOwn[slot] = false
 	r.ackEast[slot] = false
-	r.ackOwnEv[slot] = nil
-	r.ackEastEv[slot] = nil
 	r.ackSent[slot] = false
+	if r.evs != nil {
+		r.evs.slot[slot] = rtSlotEvs{}
+	}
 }
 
 // deliverHeaderBeat installs up to one read and one write entry (beat b
 // carries queue index b of each) and marks beat progress. A block with no
 // valid entry at an index still counts the beat.
-func (r *rtTile) deliverHeaderBeat(slot int, seq uint64, beat int, rd isa.ReadInst, wr isa.WriteInst, ev *critpath.Event) {
+func (r *rtTile) deliverHeaderBeat(slot int, seq uint64, beat int, rd isa.ReadInst, wr isa.WriteInst, ev critpath.Event) {
 	r.active = true
 	if r.slotSeq[slot] != seq {
 		return
 	}
 	if rd.Valid {
 		r.readQ[slot][beat] = readEntry{
-			valid: true, gr: rd.GR, rt0: rd.RT0, rt1: rd.RT1,
-			arrEv: ev, unresolved: true,
+			valid: true, gr: rd.GR, rt0: rd.RT0, rt1: rd.RT1, unresolved: true,
 		}
 		r.unresolved++
 	}
@@ -159,7 +168,10 @@ func (r *rtTile) deliverHeaderBeat(slot int, seq uint64, beat int, rd isa.ReadIn
 		r.missingWrites[slot]++
 	}
 	r.hdrBeats[slot]++
-	r.hdrEv[slot] = critpath.Latest(r.hdrEv[slot], ev)
+	if t := r.evs; t != nil {
+		t.readArr[slot][beat] = ev
+		t.slot[slot].hdr = critpath.Latest(t.slot[slot].hdr, ev)
+	}
 }
 
 // olderHeadersComplete reports whether every older in-flight block of the
@@ -181,7 +193,8 @@ func (r *rtTile) olderHeadersComplete(seq uint64, thread int) bool {
 // 4.2: search the write queues of all older in-flight blocks for a matching
 // write; forward its value if present, buffer the read if pending, or read
 // the architectural file.
-func (r *rtTile) resolveRead(now int64, slot int, e *readEntry) {
+func (r *rtTile) resolveRead(now int64, slot, idx int) {
+	e := &r.readQ[slot][idx]
 	seq := r.slotSeq[slot]
 	thread := r.slotThread[slot]
 	if !r.olderHeadersComplete(seq, thread) {
@@ -215,7 +228,10 @@ func (r *rtTile) resolveRead(now int64, slot int, e *readEntry) {
 	if !found {
 		r.ReadsFromFile++
 		v := Value{Bits: r.regs[thread][e.gr/4]}
-		ev := r.core.newEvent(now, e.arrEv, critpath.Split{}, critpath.CatIFetch)
+		var ev critpath.Event
+		if t := r.evs; t != nil {
+			ev = critpath.New(now, t.readArr[slot][idx], critpath.Split{}, critpath.CatIFetch)
+		}
 		r.sendReadValue(slot, seq, thread, e, v, ev)
 		e.done = true
 		return
@@ -223,7 +239,10 @@ func (r *rtTile) resolveRead(now int64, slot int, e *readEntry) {
 	w := &r.writeQ[bestSlot][bestIdx]
 	if w.have {
 		r.ReadsForwarded++
-		ev := r.core.newEvent(now, critpath.Latest(e.arrEv, w.ev), critpath.Split{}, critpath.CatOther)
+		var ev critpath.Event
+		if t := r.evs; t != nil {
+			ev = critpath.New(now, critpath.Latest(t.readArr[slot][idx], t.write[bestSlot][bestIdx]), critpath.Split{}, critpath.CatOther)
+		}
 		r.sendReadValue(slot, seq, thread, e, w.val, ev)
 		e.done = true
 		return
@@ -237,7 +256,7 @@ func (r *rtTile) resolveRead(now int64, slot int, e *readEntry) {
 	e.waitIdx = bestIdx
 }
 
-func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v Value, ev *critpath.Event) {
+func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v Value, ev critpath.Event) {
 	for _, tgt := range []isa.Target{e.rt0, e.rt1} {
 		if !tgt.Valid() {
 			continue
@@ -250,7 +269,7 @@ func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v
 		}
 		m := r.core.newOPNMsg()
 		*m = opnMsg{
-			dst: dst, kind: opnOperand, slot: slot, seq: seq, thread: thread,
+			dst: dst, kind: opnOperand, slot: uint8(slot), seq: seq, thread: uint8(thread),
 			target: tgt, val: v, ev: ev,
 		}
 		r.outQ.Push(m)
@@ -258,7 +277,7 @@ func (r *rtTile) sendReadValue(slot int, seq uint64, thread int, e *readEntry, v
 }
 
 // deliverWrite receives a block output value for write-queue entry j.
-func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value, ev *critpath.Event) {
+func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value, ev critpath.Event) {
 	r.active = true
 	if r.slotSeq[slot] != seq {
 		return
@@ -269,7 +288,9 @@ func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value,
 	}
 	w.have = true
 	w.val = v
-	w.ev = ev
+	if r.evs != nil {
+		r.evs.write[slot][idx] = ev
+	}
 	r.missingWrites[slot]--
 	if v.Null {
 		r.NullWrites++
@@ -294,7 +315,10 @@ func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value,
 			}
 			readerSeq := r.slotSeq[s]
 			readerThread := r.slotThread[s]
-			fwdEv := r.core.newEvent(now, critpath.Latest(e.arrEv, ev), critpath.Split{}, critpath.CatOther)
+			var fwdEv critpath.Event
+			if t := r.evs; t != nil {
+				fwdEv = critpath.New(now, critpath.Latest(t.readArr[s][i], ev), critpath.Split{}, critpath.CatOther)
+			}
 			r.sendReadValue(s, readerSeq, readerThread, e, v, fwdEv)
 			e.waiting = false
 			e.done = true
@@ -302,21 +326,16 @@ func (r *rtTile) deliverWrite(now int64, slot int, seq uint64, idx int, v Value,
 	}
 }
 
-// writesComplete reports whether every expected write for the frame has
-// arrived.
-func (r *rtTile) writesComplete(slot int) (bool, *critpath.Event) {
-	var last *critpath.Event
+// lastWrite returns the latest write arrival of a frame whose expected
+// writes have all arrived.
+func (r *rtTile) lastWrite(slot int) critpath.Event {
+	var last critpath.Event
 	for i := range r.writeQ[slot] {
-		w := &r.writeQ[slot][i]
-		if !w.valid {
-			continue
+		if r.writeQ[slot][i].valid {
+			last = critpath.Latest(last, r.evs.write[slot][i])
 		}
-		if !w.have {
-			return false, nil
-		}
-		last = critpath.Latest(last, w.ev)
 	}
-	return true, last
+	return last
 }
 
 // tick runs one RT cycle.
@@ -330,27 +349,32 @@ func (r *rtTile) tick(now int64) {
 			for i := range r.readQ[s] {
 				e := &r.readQ[s][i]
 				if e.valid && !e.done && e.unresolved {
-					r.resolveRead(now, s, e)
+					r.resolveRead(now, s, i)
 				}
 			}
 		}
 	}
 	// Block-completion detection: all header beats in, all writes arrived.
+	t := r.evs
 	for s := 0; s < NumSlots; s++ {
 		if r.slotSeq[s] == 0 || r.finishSent[s] || r.hdrBeats[s] < 8 {
 			continue
 		}
 		if !r.finishOwn[s] && r.missingWrites[s] == 0 {
-			_, ev := r.writesComplete(s)
 			r.finishOwn[s] = true
-			r.finishOwnEv[s] = r.core.newEvent(now, critpath.Latest(ev, r.hdrEv[s]), critpath.Split{}, critpath.CatComplete)
+			if t != nil {
+				t.slot[s].finishOwn = critpath.New(now, critpath.Latest(r.lastWrite(s), t.slot[s].hdr), critpath.Split{}, critpath.CatComplete)
+			}
 		}
 		// Daisy chain: forward when own writes are done and the east
 		// neighbor (RT id+1) has reported; RT3 is the chain tail.
 		if r.finishOwn[s] && (r.id == isa.NumRTs-1 || r.finishEast[s]) {
 			if r.core.gsnRT.CanSend(r.id + 1) {
-				ev := r.core.newEvent(now, critpath.Latest(r.finishOwnEv[s], r.finishEastEv[s]), critpath.Split{}, critpath.CatComplete)
-				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnFinishR, slot: s, seq: r.slotSeq[s], ev: ev})
+				msg := gsnMsg{kind: gsnFinishR, slot: uint8(s), seq: r.slotSeq[s]}
+				if t != nil {
+					msg.ev = critpath.New(now, critpath.Latest(t.slot[s].finishOwn, t.slot[s].finishEast), critpath.Split{}, critpath.CatComplete)
+				}
+				r.core.gsnRT.Send(r.id+1, msg)
 				r.finishSent[s] = true
 			}
 		}
@@ -370,13 +394,18 @@ func (r *rtTile) tick(now int64) {
 			}
 			if r.drainCommit(s) {
 				r.ackOwn[s] = true
-				r.ackOwnEv[s] = r.core.newEvent(now, r.commitEv[s], critpath.Split{}, critpath.CatCommit)
+				if t != nil {
+					t.slot[s].ackOwn = critpath.New(now, t.slot[s].commit, critpath.Split{}, critpath.CatCommit)
+				}
 			}
 		}
 		if r.ackOwn[s] && (r.id == isa.NumRTs-1 || r.ackEast[s]) {
 			if r.core.gsnRT.CanSend(r.id + 1) {
-				ev := r.core.newEvent(now, critpath.Latest(r.ackOwnEv[s], r.ackEastEv[s]), critpath.Split{}, critpath.CatCommit)
-				r.core.gsnRT.Send(r.id+1, gsnMsg{kind: gsnAckR, slot: s, seq: r.slotSeq[s], ev: ev})
+				msg := gsnMsg{kind: gsnAckR, slot: uint8(s), seq: r.slotSeq[s]}
+				if t != nil {
+					msg.ev = critpath.New(now, critpath.Latest(t.slot[s].ackOwn, t.slot[s].ackEast), critpath.Split{}, critpath.CatCommit)
+				}
+				r.core.gsnRT.Send(r.id+1, msg)
 				r.ackSent[s] = true
 				// Frame released at this tile.
 				r.unresolved -= r.slotUnresolved(s)
@@ -443,8 +472,8 @@ func (r *rtTile) remainingDrains(s int) int {
 // pumpGSN consumes chain messages arriving from the east neighbor.
 func (r *rtTile) pumpGSN(now int64) {
 	node := r.id + 1
-	if node >= r.core.gsnRT.N-1 {
-		return // RT3 has no east neighbor on the chain
+	if node >= r.core.gsnRT.N-1 || r.core.gsnRT.Quiet() {
+		return // RT3 has no east neighbor on the chain; an idle chain has nothing to peek at
 	}
 	msg, ok := r.core.gsnRT.Recv(node)
 	if !ok {
@@ -454,26 +483,32 @@ func (r *rtTile) pumpGSN(now int64) {
 	case gsnFinishR:
 		if r.slotSeq[msg.slot] == msg.seq {
 			r.finishEast[msg.slot] = true
-			r.finishEastEv[msg.slot] = r.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatComplete)
+			if r.evs != nil {
+				r.evs.slot[msg.slot].finishEast = critpath.New(now, msg.ev, critpath.Split{}, critpath.CatComplete)
+			}
 		}
 	case gsnAckR:
 		if r.slotSeq[msg.slot] == msg.seq {
 			r.ackEast[msg.slot] = true
-			r.ackEastEv[msg.slot] = r.core.newEvent(now, msg.ev, critpath.Split{}, critpath.CatCommit)
+			if r.evs != nil {
+				r.evs.slot[msg.slot].ackEast = critpath.New(now, msg.ev, critpath.Split{}, critpath.CatCommit)
+			}
 		}
 	}
 	r.core.gsnRT.Pop(node)
 }
 
 // onCommitCommand begins architectural commit for a frame.
-func (r *rtTile) onCommitCommand(now int64, slot int, seq uint64, ev *critpath.Event) {
+func (r *rtTile) onCommitCommand(now int64, slot int, seq uint64, ev critpath.Event) {
 	r.active = true
 	if r.slotSeq[slot] != seq {
 		return
 	}
 	r.committing[slot] = true
 	r.drainIdx[slot] = 0
-	r.commitEv[slot] = r.core.newEvent(now, ev, critpath.Split{}, critpath.CatCommit)
+	if r.evs != nil {
+		r.evs.slot[slot].commit = critpath.New(now, ev, critpath.Split{}, critpath.CatCommit)
+	}
 }
 
 // flush clears a frame.
@@ -485,7 +520,7 @@ func (r *rtTile) flush(slot int, seq uint64) {
 	r.unresolved -= r.slotUnresolved(slot)
 	r.slotSeq[slot] = 0
 	r.outQ.Filter(func(m *opnMsg) bool {
-		return !(m.slot == slot && m.seq == seq)
+		return !(int(m.slot) == slot && m.seq == seq)
 	})
 	// Buffered reads of younger blocks waiting on this frame's writes must
 	// re-resolve.

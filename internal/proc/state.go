@@ -16,9 +16,11 @@ import (
 // state — tiles, micronets, the event wheel, in-flight messages — into a
 // ckpt.Writer at a cycle boundary; LoadState restores it into a core freshly
 // constructed with an identical Config. Critical-path events are host-side
-// observability tied to pointer graphs and are not serializable: SaveState
-// refuses when TrackCritPath is enabled. Pools (opnMsg, dtFetch) restore
-// empty — pooling is invisible to simulated state.
+// observability the wire format has no fields for: SaveState refuses when
+// TrackCritPath is enabled. Pools (opnMsg, dtFetch) restore empty, and the
+// parking records behind wheel events and flush commands (dispatches,
+// slowOPN, flushes) are written out inline where the format always had their
+// contents and rebuilt from there — both are invisible to simulated state.
 
 // ---------------------------------------------------------------------------
 // Value / isa codecs
@@ -127,8 +129,9 @@ func decHeaderInfo(r *ckpt.Reader) *isa.HeaderInfo {
 }
 
 // ---------------------------------------------------------------------------
-// Message codecs. Critical-path event fields restore as nil (SaveState
-// refuses under TrackCritPath).
+// Message codecs. The narrow fields keep their original integer encodings;
+// critical-path event fields restore as zero (SaveState refuses under
+// TrackCritPath).
 // ---------------------------------------------------------------------------
 
 func encCoord(w *ckpt.Writer, at micronet.Coord) {
@@ -143,22 +146,22 @@ func decCoord(r *ckpt.Reader) micronet.Coord {
 func encOPNMsg(w *ckpt.Writer, m *opnMsg) {
 	encCoord(w, m.dst)
 	w.U8(uint8(m.kind))
-	w.Int(m.slot)
+	w.Int(int(m.slot))
 	w.U64(m.seq)
-	w.Int(m.thread)
+	w.Int(int(m.thread))
 	encTarget(w, m.target)
 	encValue(w, m.val)
 	w.U8(uint8(m.brOp))
-	w.Int(m.brExit)
+	w.Int(int(m.brExit))
 	w.I64(int64(m.brOffset))
-	w.Int(m.lsid)
+	w.Int(int(m.lsid))
 	w.U8(uint8(m.memOp))
 	w.U64(m.addr)
 	encValue(w, m.data)
 	encTarget(w, m.ldT0)
 	encTarget(w, m.ldT1)
-	w.Int(m.hops)
-	w.Int(m.waits)
+	w.Int(int(m.hops))
+	w.Int(int(m.waits))
 	w.U64(m.tid)
 }
 
@@ -166,22 +169,22 @@ func decOPNMsg(r *ckpt.Reader) *opnMsg {
 	m := &opnMsg{}
 	m.dst = decCoord(r)
 	m.kind = opnKind(r.U8())
-	m.slot = r.Int()
+	m.slot = uint8(r.Int())
 	m.seq = r.U64()
-	m.thread = r.Int()
+	m.thread = uint8(r.Int())
 	m.target = decTarget(r)
 	m.val = decValue(r)
 	m.brOp = isa.Opcode(r.U8())
-	m.brExit = r.Int()
+	m.brExit = uint8(r.Int())
 	m.brOffset = int32(r.I64())
-	m.lsid = r.Int()
+	m.lsid = uint8(r.Int())
 	m.memOp = isa.Opcode(r.U8())
 	m.addr = r.U64()
 	m.data = decValue(r)
 	m.ldT0 = decTarget(r)
 	m.ldT1 = decTarget(r)
-	m.hops = r.Int()
-	m.waits = r.Int()
+	m.hops = int32(r.Int())
+	m.waits = int32(r.Int())
 	m.tid = r.U64()
 	r.NoteID(m.tid)
 	return m
@@ -189,7 +192,7 @@ func decOPNMsg(r *ckpt.Reader) *opnMsg {
 
 func encGSNMsg(w *ckpt.Writer, m gsnMsg) {
 	w.U8(uint8(m.kind))
-	w.Int(m.slot)
+	w.Int(int(m.slot))
 	w.U64(m.seq)
 	w.U64(m.violSeq)
 	w.U64(m.violAddr)
@@ -198,44 +201,50 @@ func encGSNMsg(w *ckpt.Writer, m gsnMsg) {
 func decGSNMsg(r *ckpt.Reader) gsnMsg {
 	var m gsnMsg
 	m.kind = gsnKind(r.U8())
-	m.slot = r.Int()
+	m.slot = uint8(r.Int())
 	m.seq = r.U64()
 	m.violSeq = r.U64()
 	m.violAddr = r.U64()
 	return m
 }
 
-func encGCNMsg(w *ckpt.Writer, m gcnMsg) {
+// encGCNMsg writes a command with its parked flush sequence numbers inline
+// (and no handle), as the format always carried them.
+func (c *Core) encGCNMsg(w *ckpt.Writer, m gcnMsg) {
+	var seqs [NumSlots]uint64
+	if m.kind == gcnFlush {
+		seqs, m.seq = c.flushes[m.seq].seqs, 0
+	}
 	w.U8(uint8(m.kind))
-	w.Int(m.slot)
+	w.Int(int(m.slot))
 	w.U64(m.seq)
 	w.U8(m.mask)
-	for _, s := range m.seqs {
+	for _, s := range seqs {
 		w.U64(s)
 	}
 }
 
-func decGCNMsg(r *ckpt.Reader) gcnMsg {
-	var m gcnMsg
-	m.kind = gcnKind(r.U8())
-	m.slot = r.Int()
-	m.seq = r.U64()
-	m.mask = r.U8()
-	for i := range m.seqs {
-		m.seqs[i] = r.U64()
+func (c *Core) decGCNMsg(r *ckpt.Reader) gcnMsg {
+	m := gcnMsg{kind: gcnKind(r.U8()), slot: uint8(r.Int()), seq: r.U64(), mask: r.U8()}
+	var seqs [NumSlots]uint64
+	for i := range seqs {
+		seqs[i] = r.U64()
+	}
+	if m.kind == gcnFlush {
+		m.seq = c.parkFlush(seqs)
 	}
 	return m
 }
 
 func encDSNMsg(w *ckpt.Writer, m dsnMsg) {
-	w.Int(m.slot)
+	w.Int(int(m.slot))
 	w.U64(m.seq)
-	w.Int(m.thread)
-	w.Int(m.lsid)
+	w.Int(int(m.thread))
+	w.Int(int(m.lsid))
 }
 
 func decDSNMsg(r *ckpt.Reader) dsnMsg {
-	return dsnMsg{slot: r.Int(), seq: r.U64(), thread: r.Int(), lsid: r.Int()}
+	return dsnMsg{slot: uint8(r.Int()), seq: r.U64(), thread: uint8(r.Int()), lsid: uint8(r.Int())}
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ func (c *Core) ResolveOrigin(req *MemRequest) {
 			for i := len(data) - 1; i >= 0; i-- {
 				v = v<<8 | uint64(data[i])
 			}
-			d.replyLoad(d.core.cycle+1, msg, Value{Bits: extendValue(v, msg.memOp)}, nil)
+			d.replyLoad(&pendingLoad{msg: msg}, Value{Bits: extendValue(v, msg.memOp)}, critpath.Event{})
 		}
 	case OriginDTUncachedStore:
 		d := c.dts[req.Origin.Tile]
@@ -367,75 +376,74 @@ func decPendingLoads(r *ckpt.Reader) []*pendingLoad {
 // Event wheel
 // ---------------------------------------------------------------------------
 
-func (c *Core) encSchedEvent(w *ckpt.Writer, e *schedEvent) {
+// encSchedEvent writes an event with the payload it names — the dispatched
+// instruction, header entries or store mask from its dispatchRec, the parked
+// slow delivery — inline, as the format always carried them.
+func (c *Core) encSchedEvent(w *ckpt.Writer, e schedEvent) {
 	w.U8(uint8(e.kind))
-	w.Int(e.slot)
+	w.Int(int(e.slot))
+	if e.kind == evSlowOPN {
+		w.U64(0)
+		w.Int(0)
+		encCoord(w, c.slowOPN[e.seq].dst)
+		encOPNMsg(w, c.slowOPN[e.seq])
+		return
+	}
 	w.U64(e.seq)
-	w.Int(e.idx)
+	w.Int(int(e.idx))
+	w.Int(int(e.tile))
+	d, idx := &c.dispatches[e.seq%NumSlots], int(e.idx)
 	switch e.kind {
 	case evBodyInst:
-		w.Int(e.et.id)
-		encInst(w, &e.inst)
+		encInst(w, &d.bodies[idx/isa.BodyChunkInsts][idx%isa.BodyChunkInsts])
 	case evHeaderBeat:
-		w.Int(e.rt.id)
-		encReadInst(w, e.rd)
-		encWriteInst(w, e.wr)
+		encReadInst(w, d.hdr.Reads[idx*4+int(e.tile)])
+		encWriteInst(w, d.hdr.Writes[idx*4+int(e.tile)])
 	case evStoreMask:
-		w.Int(e.dt.id)
-		w.U32(e.mask)
-	case evRefill:
-		w.Int(e.it.id)
-	case evSlowOPN:
-		encCoord(w, e.at)
-		encOPNMsg(w, e.msg)
+		w.U32(d.hdr.StoreMask)
 	}
 }
 
+// decSchedEvent reads an event and files its payload: into the dispatchRec
+// of its block, which holds just the entries with beats still in flight, or
+// the slow-delivery list.
 func (c *Core) decSchedEvent(r *ckpt.Reader) (schedEvent, bool) {
-	var e schedEvent
-	e.kind = evKind(r.U8())
-	e.slot = r.Int()
-	e.seq = r.U64()
-	e.idx = r.Int()
-	switch e.kind {
-	case evBodyInst:
-		id := r.Int()
-		if id < 0 || id >= len(c.ets) {
-			r.Failf("sched event ET id %d out of range", id)
-			return e, false
-		}
-		e.et = c.ets[id]
-		e.inst = decInst(r)
-	case evHeaderBeat:
-		id := r.Int()
-		if id < 0 || id >= len(c.rts) {
-			r.Failf("sched event RT id %d out of range", id)
-			return e, false
-		}
-		e.rt = c.rts[id]
-		e.rd = decReadInst(r)
-		e.wr = decWriteInst(r)
-	case evStoreMask:
-		id := r.Int()
-		if id < 0 || id >= len(c.dts) {
-			r.Failf("sched event DT id %d out of range", id)
-			return e, false
-		}
-		e.dt = c.dts[id]
-		e.mask = r.U32()
-	case evRefill:
-		id := r.Int()
-		if id < 0 || id >= len(c.its) {
-			r.Failf("sched event IT id %d out of range", id)
-			return e, false
-		}
-		e.it = c.its[id]
-	case evSlowOPN:
-		e.at = decCoord(r)
-		e.msg = decOPNMsg(r)
-	default:
-		r.Failf("sched event kind %d unknown", e.kind)
+	kind, slot, seq, idx := evKind(r.U8()), r.Int(), r.U64(), r.Int()
+	e := schedEvent{kind: kind, slot: uint8(slot), seq: seq, idx: uint8(idx)}
+	if kind == evSlowOPN {
+		e.seq = uint64(len(c.slowOPN))
+		decCoord(r) // the delivery node: the message's own destination
+		c.slowOPN = append(c.slowOPN, decOPNMsg(r))
+		return e, r.Err() == nil
+	}
+	tiles := [...]int{evBodyInst: len(c.ets), evHeaderBeat: len(c.rts), evStoreMask: len(c.dts), evRefill: len(c.its)}
+	if int(kind) >= len(tiles) {
+		r.Failf("sched event kind %d unknown", kind)
 		return e, false
+	}
+	tile := r.Int()
+	if tile < 0 || tile >= tiles[kind] || slot < 0 || slot >= NumSlots || idx < 0 || idx >= isa.MaxBlockInsts ||
+		(kind == evHeaderBeat && idx >= dispatchBeats) {
+		r.Failf("sched event kind %d: tile %d, slot %d or index %d out of range", kind, tile, slot, idx)
+		return e, false
+	}
+	e.tile = uint8(tile)
+	d := &c.dispatches[seq%NumSlots]
+	if kind != evRefill && (d.seq != seq || d.hdr == nil) {
+		*d = dispatchRec{seq: seq, hdr: &isa.HeaderInfo{}}
+	}
+	switch kind {
+	case evBodyInst:
+		chunk := &d.bodies[idx/isa.BodyChunkInsts]
+		if *chunk == nil {
+			*chunk = new([isa.BodyChunkInsts]isa.Inst)
+		}
+		(*chunk)[idx%isa.BodyChunkInsts] = decInst(r)
+	case evHeaderBeat:
+		d.hdr.Reads[idx*4+tile] = decReadInst(r)
+		d.hdr.Writes[idx*4+tile] = decWriteInst(r)
+	case evStoreMask:
+		d.hdr.StoreMask = r.U32()
 	}
 	return e, r.Err() == nil
 }
@@ -449,7 +457,7 @@ func (c *Core) saveWheel(w *ckpt.Writer) {
 		evs := c.wheel[(c.cycle+delta)&wheelMask]
 		w.Int(len(evs))
 		for i := range evs {
-			c.encSchedEvent(w, &evs[i])
+			c.encSchedEvent(w, evs[i])
 		}
 	}
 	cycles := make([]int64, 0, len(c.schedOverflow))
@@ -463,7 +471,7 @@ func (c *Core) saveWheel(w *ckpt.Writer) {
 		evs := c.schedOverflow[cyc]
 		w.Int(len(evs))
 		for i := range evs {
-			c.encSchedEvent(w, &evs[i])
+			c.encSchedEvent(w, evs[i])
 		}
 	}
 }
@@ -473,6 +481,8 @@ func (c *Core) loadWheel(r *ckpt.Reader) {
 	for i := range c.wheel {
 		c.wheel[i] = c.wheel[i][:0]
 	}
+	c.dispatches = [NumSlots]dispatchRec{}
+	c.slowOPN = c.slowOPN[:0]
 	for delta := int64(0); delta < wheelSize; delta++ {
 		n := r.Int()
 		if r.Err() != nil {
@@ -550,20 +560,10 @@ func (e *etTile) saveState(w *ckpt.Writer) {
 	for i := range e.pipe {
 		f := &e.pipe[i]
 		w.I64(f.doneAt)
-		w.Int(f.slot)
+		w.Int(int(f.slot))
 		w.U64(f.seq)
-		w.Int(f.thread)
-		pos := -1
-		for p := range e.stations[f.slot] {
-			if &e.stations[f.slot][p] == f.st {
-				pos = p
-				break
-			}
-		}
-		if pos < 0 {
-			panic("proc: checkpoint: ET pipe entry station not in its frame")
-		}
-		w.Int(pos)
+		w.Int(int(f.thread))
+		w.Int(int(f.st))
 		encValue(w, f.result)
 	}
 	e.outQ.SaveState(w, encOPNMsg)
@@ -605,22 +605,16 @@ func (e *etTile) loadState(r *ckpt.Reader) {
 	}
 	e.pipe = e.pipe[:0]
 	for i := 0; i < n; i++ {
-		var f inflight
-		f.doneAt = r.I64()
-		f.slot = r.Int()
-		f.seq = r.U64()
-		f.thread = r.Int()
-		pos := r.Int()
+		doneAt, slot, seq, thread, pos := r.I64(), r.Int(), r.U64(), r.Int(), r.Int()
 		if r.Err() != nil {
 			return
 		}
-		if f.slot < 0 || f.slot >= NumSlots || pos < 0 || pos >= isa.SlotsPerET {
-			r.Failf("ET pipe entry slot %d pos %d out of range", f.slot, pos)
+		if slot < 0 || slot >= NumSlots || pos < 0 || pos >= isa.SlotsPerET {
+			r.Failf("ET pipe entry slot %d pos %d out of range", slot, pos)
 			return
 		}
-		f.st = &e.stations[f.slot][pos]
-		f.result = decValue(r)
-		e.pipe = append(e.pipe, f)
+		e.pipe = append(e.pipe, inflight{doneAt: doneAt, slot: uint8(slot), seq: seq,
+			thread: uint8(thread), st: uint8(pos), result: decValue(r)})
 	}
 	e.outQ.LoadState(r, decOPNMsg)
 	e.active = r.Bool()
@@ -723,19 +717,13 @@ func (t *rtTile) loadState(r *ckpt.Reader) {
 		t.slotSeq[s] = r.U64()
 		t.slotThread[s] = r.Int()
 		t.hdrBeats[s] = r.U8()
-		t.hdrEv[s] = nil
 		t.finishOwn[s] = r.Bool()
 		t.finishEast[s] = r.Bool()
-		t.finishOwnEv[s] = nil
-		t.finishEastEv[s] = nil
 		t.finishSent[s] = r.Bool()
 		t.committing[s] = r.Bool()
 		t.drainIdx[s] = r.Int()
-		t.commitEv[s] = nil
 		t.ackOwn[s] = r.Bool()
 		t.ackEast[s] = r.Bool()
-		t.ackOwnEv[s] = nil
-		t.ackEastEv[s] = nil
 		t.ackSent[s] = r.Bool()
 		t.missingWrites[s] = r.Int()
 	}
@@ -938,7 +926,6 @@ func (g *gtTile) loadState(r *ckpt.Reader) {
 	g.Mispredicts = r.U64()
 	g.ViolationFlushes = r.U64()
 	g.Commits = r.U64()
-	g.lastCommitEv = nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,15 +1032,11 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 		d.storeMask[s] = r.U32()
 		d.storeSeen[s] = r.U32()
 		d.maskKnown[s] = r.Bool()
-		d.bindEv[s] = nil
 		d.finishSent[s] = r.Bool()
 		d.ackOwn[s] = r.Bool()
 		d.ackEast[s] = r.Bool()
-		d.ackOwnEv[s] = nil
-		d.ackEastEv[s] = nil
 		d.ackSent[s] = r.Bool()
 		d.committing[s] = r.Bool()
-		d.commitEv[s] = nil
 	}
 	d.inQ.LoadState(r, decOPNMsg)
 	d.stalled = decPendingLoads(r)
@@ -1066,7 +1049,6 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 	d.gsnOut.LoadState(r, decGSNMsg)
 	d.drainOrder.LoadState(r, func(r *ckpt.Reader) uint64 { return r.U64() })
 	d.drains = make(map[uint64][]*lsq.Entry, d.drainOrder.Len())
-	d.drainEvs = make(map[uint64]*critpath.Event)
 	for i := 0; i < d.drainOrder.Len(); i++ {
 		n := r.Int()
 		if r.Err() != nil {
@@ -1111,8 +1093,8 @@ func (d *dtTile) loadState(r *ckpt.Reader) {
 // ---------------------------------------------------------------------------
 
 // SaveState serializes the core's complete mutable state at a cycle
-// boundary. It fails when critical-path tracking is enabled: event graphs
-// are pointer webs that cannot round-trip through a byte stream.
+// boundary. It fails when critical-path tracking is enabled: the format
+// carries no critical-path events.
 func (c *Core) SaveState(w *ckpt.Writer) error {
 	if c.cfg.TrackCritPath {
 		return fmt.Errorf("proc: cannot checkpoint with critical-path tracking enabled")
@@ -1122,12 +1104,12 @@ func (c *Core) SaveState(w *ckpt.Writer) error {
 	for _, m := range c.opns {
 		m.SaveState(w, encOPNMsg)
 	}
-	c.gcn.SaveState(w, encGCNMsg)
+	c.gcn.SaveState(w, c.encGCNMsg)
 	c.gsnRT.SaveState(w, encGSNMsg)
 	c.gsnDT.SaveState(w, encGSNMsg)
 	c.gsnIT.SaveState(w, encGSNMsg)
 	c.dsn.SaveState(w, encDSNMsg)
-	c.gcnQueue.SaveState(w, encGCNMsg)
+	c.gcnQueue.SaveState(w, c.encGCNMsg)
 	c.saveWheel(w)
 	for s := 0; s < NumSlots; s++ {
 		w.U64(c.storeSeq[s])
@@ -1176,16 +1158,16 @@ func (c *Core) LoadState(r *ckpt.Reader) error {
 	for _, m := range c.opns {
 		m.LoadState(r, decOPNMsg)
 	}
-	c.gcn.LoadState(r, decGCNMsg)
+	c.flushes = c.flushes[:0]
+	c.gcn.LoadState(r, c.decGCNMsg)
 	c.gsnRT.LoadState(r, decGSNMsg)
 	c.gsnDT.LoadState(r, decGSNMsg)
 	c.gsnIT.LoadState(r, decGSNMsg)
 	c.dsn.LoadState(r, decDSNMsg)
-	c.gcnQueue.LoadState(r, decGCNMsg)
+	c.gcnQueue.LoadState(r, c.decGCNMsg)
 	c.loadWheel(r)
 	for s := 0; s < NumSlots; s++ {
 		c.storeSeq[s] = r.U64()
-		c.storeEvs[s] = nil
 	}
 	c.CommittedBlocks = r.U64()
 	c.CommittedInsts = r.U64()

@@ -1,6 +1,8 @@
 package proc
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"trips/internal/ckpt"
@@ -233,5 +235,99 @@ func TestCheckpointCorruptPayloadFailsCleanly(t *testing.T) {
 		if err == nil {
 			t.Errorf("truncation at %d bytes not detected", cut)
 		}
+	}
+}
+
+// The golden checkpoint was written by the parent commit (a114839, before
+// wheel events, GCN commands and the status messages were packed) at the
+// cycle boundary below of the store/load loop; it must never be regenerated
+// from newer code. Flush 1 of that run — a memory-ordering violation — is
+// issued during cycle 192.
+const (
+	ckptGolden      = "testdata/parent_middispatch.ckpt"
+	ckptGoldenCycle = 193
+)
+
+func newGoldenCore(t *testing.T) *Core {
+	c := newCkptCore(t, depLoopProgram(t))
+	c.SetRegister(0, 8, 0)
+	c.SetRegister(0, 13, 0x8000)
+	c.SetRegister(0, 14, 0x8000)
+	c.SetRegister(0, 19, 40)
+	return c
+}
+
+func saveAll(t *testing.T, c *Core) []byte {
+	t.Helper()
+	w := &ckpt.Writer{}
+	if err := c.SaveState(w); err != nil {
+		t.Fatal(err)
+	}
+	c.mem.(*FixedLatencyMem).SaveState(w)
+	return w.Payload()
+}
+
+// TestCheckpointParentFormat pins the checkpoint wire format across the
+// packing of the per-cycle path: mid-dispatch, with body, header and
+// store-mask beats in the wheel (their payloads now live in a dispatchRec)
+// and a flush command on the GCN tree (its sequence numbers now parked), the
+// current code must write the parent commit's bytes from its own run, load
+// them into a fresh core, write them back unchanged, and finish the restored
+// run exactly as the uninterrupted one.
+func TestCheckpointParentFormat(t *testing.T) {
+	golden, err := os.ReadFile(ckptGolden)
+	if err != nil {
+		t.Fatalf("golden checkpoint (written at commit a114839): %v", err)
+	}
+	live := newGoldenCore(t)
+	for live.cycle < ckptGoldenCycle {
+		live.Step()
+	}
+	var kinds [evSlowOPN + 1]int
+	for i := range live.wheel {
+		for _, e := range live.wheel[i] {
+			kinds[e.kind]++
+		}
+	}
+	parked := 0
+	for _, f := range live.flushes {
+		if f.live {
+			parked++
+		}
+	}
+	if kinds[evBodyInst] == 0 || kinds[evHeaderBeat] == 0 || kinds[evStoreMask] == 0 || parked != 1 || live.gcn.Busy() == 0 {
+		t.Fatalf("checkpoint state too thin: %d body, %d header, %d store-mask beats in the wheel, %d flushes parked, %d GCN links busy",
+			kinds[evBodyInst], kinds[evHeaderBeat], kinds[evStoreMask], parked, live.gcn.Busy())
+	}
+	if got := saveAll(t, live); !bytes.Equal(got, golden) {
+		t.Fatalf("SaveState at cycle %d wrote %d bytes that differ from the parent commit's %d", ckptGoldenCycle, len(got), len(golden))
+	}
+
+	restored := newGoldenCore(t)
+	r := ckpt.NewReader(golden)
+	if err := restored.LoadState(r); err != nil {
+		t.Fatalf("LoadState of the parent-format checkpoint: %v", err)
+	}
+	restored.mem.(*FixedLatencyMem).LoadState(r, restored)
+	if err := r.Close(); err != nil {
+		t.Fatalf("payload not fully consumed: %v", err)
+	}
+	if got := saveAll(t, restored); !bytes.Equal(got, golden) {
+		t.Fatal("save→load→save is not byte-identical")
+	}
+	liveRes, err := live.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredRes, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "restored vs uninterrupted", liveRes, restoredRes)
+	if liveRes.Flushes < 2 || liveRes.Cycles < 2*ckptGoldenCycle {
+		t.Fatalf("run ended at cycle %d after %d flushes: nothing was left to replay", liveRes.Cycles, liveRes.Flushes)
+	}
+	if !bytes.Equal(saveAll(t, live), saveAll(t, restored)) {
+		t.Fatal("final states differ between the restored and the uninterrupted run")
 	}
 }
