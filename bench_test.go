@@ -60,8 +60,8 @@ func runCycles(b *testing.B, name string, opt eval.TRIPSOptions, hand bool) floa
 }
 
 // runCyclesCov additionally returns the tile-skip coverage — the fraction of
-// per-tile ticks the event-driven doze overlay elided (0 under
-// -noeventdriven or NoFastPath).
+// per-tile ticks the active gate and doze overlay elided (0 on the
+// reference).
 func runCyclesCov(b *testing.B, name string, opt eval.TRIPSOptions, hand bool) (float64, float64) {
 	b.Helper()
 	w, err := workloads.ByName(name)
@@ -273,27 +273,26 @@ func BenchmarkAlphaBaseline(b *testing.B) {
 
 // BenchmarkChipDualCore runs a workload on both processor cores
 // simultaneously through the partitioned NUCA memory system — the full
-// Figure 2 chip. The default variant uses the two-phase parallel step and
-// clock-warping; serial-nowarp is the one-thread, tick-every-cycle
-// baseline. Simulated cycle counts must be identical across variants.
+// Figure 2 chip — under the production stepper and under the reference.
+// Simulated cycle counts must be identical.
 func BenchmarkChipDualCore(b *testing.B) {
-	for _, cfg := range []struct {
-		name               string
-		noWarp, noParallel bool
-		stepping           chip.Stepping
-	}{
-		{"parallel-warp", false, false, chip.StepLag},
-		{"serial-nowarp", true, true, chip.StepLag},
-		{"seq-warp", false, false, chip.StepSeq},
-		{"seq-nowarp", true, true, chip.StepSeq},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportMetric(float64(runDualCoreChip(b, cfg.noWarp, cfg.noParallel, cfg.stepping)), "cycles")
+	for _, reference := range []bool{false, true} {
+		b.Run(variant("vadd", reference), func(b *testing.B) {
+			b.ReportMetric(float64(runDualCoreChip(b, reference)), "cycles")
 		})
 	}
 }
 
-func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Stepping) int64 {
+// variant names a benchmark cell: the configuration, suffixed when it runs
+// on the reference (the pairing bench-compare -chip audits).
+func variant(config string, reference bool) string {
+	if reference {
+		return config + eval.ReferenceSuffix
+	}
+	return config
+}
+
+func runDualCoreChip(b *testing.B, reference bool) int64 {
 	b.Helper()
 	w, err := workloads.ByName("vadd")
 	if err != nil {
@@ -314,12 +313,10 @@ func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Steppi
 		backing := mem.New()
 		spec0.SetupMem(backing)
 		c, err := chip.New(chip.Config{
-			Programs:   [2]*proc.Program{prog0, prog1},
-			Backing:    backing,
-			Partition:  true,
-			NoWarp:     noWarp,
-			NoParallel: noParallel,
-			Stepping:   stepping,
+			Programs:  [2]*proc.Program{prog0, prog1},
+			Backing:   backing,
+			Partition: true,
+			Reference: reference,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -342,14 +339,13 @@ func runDualCoreChip(b *testing.B, noWarp, noParallel bool, stepping chip.Steppi
 	return cyc
 }
 
-// BenchmarkChipDMAStream measures the drain-deadline warping win on a
-// DMA/idle-heavy phase: a short program retires on core 0, then a DMA
-// controller streams 64KB line-by-line through the OCN (port -> MT -> SDC
-// round trips) while both cores sit idle. With warping, the chip clock
-// jumps across every solo-transit leg and SDRAM access; the nowarp variant
-// ticks all of them. Simulated cycles must be identical; the host-time gap
-// is the win. The warp-coverage metric reports the fraction of simulated
-// cycles skipped.
+// BenchmarkChipDMAStream measures the production stepper on a DMA/idle-heavy
+// phase: a short program retires on core 0, then a DMA controller streams
+// 64KB line-by-line through the OCN (port -> MT -> SDC round trips) while
+// both cores sit idle. The production stepper jumps the clocks across every
+// solo-transit leg and SDRAM access; the reference ticks all of them.
+// Simulated cycles must be identical; the host-time gap is the win. The
+// warp-coverage metric reports the fraction of simulated cycles skipped.
 func BenchmarkChipDMAStream(b *testing.B) {
 	const bytes = 64 << 10
 	mkBlocks := func(base uint64, iters int) *proc.Program {
@@ -376,19 +372,9 @@ func BenchmarkChipDMAStream(b *testing.B) {
 		return p
 	}
 	var rows []eval.ChipBenchRow
-	for _, cfg := range []struct {
-		name     string
-		noWarp   bool
-		noDoze   bool
-		stepping chip.Stepping
-	}{
-		{"warp", false, false, chip.StepLag},
-		{"nowarp", true, false, chip.StepLag},
-		{"nowarp-nodoze", true, true, chip.StepLag},
-		{"seq-warp", false, false, chip.StepSeq},
-		{"seq-nowarp", true, false, chip.StepSeq},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, reference := range []bool{false, true} {
+		name := variant("dma64k", reference)
+		b.Run(name, func(b *testing.B) {
 			var cyc, warped int64
 			var cov float64
 			start := time.Now()
@@ -398,12 +384,10 @@ func BenchmarkChipDMAStream(b *testing.B) {
 					backing.Write(0x700000+uint64(j)*8, 8, uint64(j+1))
 				}
 				c, err := chip.New(chip.Config{
-					Programs:      [2]*proc.Program{mkBlocks(0x100000, 2), nil},
-					Backing:       backing,
-					MaxCycles:     50_000_000,
-					NoWarp:        cfg.noWarp,
-					NoEventDriven: cfg.noDoze,
-					Stepping:      cfg.stepping,
+					Programs:  [2]*proc.Program{mkBlocks(0x100000, 2), nil},
+					Backing:   backing,
+					MaxCycles: 50_000_000,
+					Reference: reference,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -422,7 +406,7 @@ func BenchmarkChipDMAStream(b *testing.B) {
 				}
 			}
 			rows = append(rows, eval.ChipBenchRow{
-				Bench: "ChipDMAStream", Variant: cfg.name,
+				Bench: "ChipDMAStream", Variant: name,
 				NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(b.N),
 				Cycles:  cyc, SkipCoverage: cov,
 			})
@@ -432,67 +416,49 @@ func BenchmarkChipDMAStream(b *testing.B) {
 		})
 	}
 	if path := os.Getenv("BENCH_CHIP_JSON"); path != "" {
-		// In sweep mode (scripts/bench.sh sweep) the run was pinned to a
-		// specific GOMAXPROCS; record it as a scaling-series point instead of
-		// overwriting the main rows measured at default parallelism.
-		if os.Getenv("BENCH_CHIP_SWEEP") != "" {
-			if err := eval.MergeChipSweepJSON(path, runtime.GOMAXPROCS(0), rows); err != nil {
-				b.Fatal(err)
-			}
-		} else if err := eval.MergeChipBenchJSON(path, rows); err != nil {
+		if err := eval.MergeChipBenchJSON(path, rows); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkNUCAvsPerfectL2 contrasts the paper's perfect-L2 normalization
-// with the full secondary memory system behind one core. The nowarp
-// variants re-run each configuration with clock-warping disabled — the
-// simulated cycle counts must match, and the host-time gap is the win from
-// fast-forwarding SDRAM-latency stalls. vadd keeps eight blocks of
-// speculative work in flight, so it rarely quiesces; mcf's pointer chase
-// serializes its misses and spends most of its cycles in warpable waits.
+// with the full secondary memory system behind one core, each under the
+// production stepping and under the reference — the simulated cycle counts
+// must match, and the host-time gap is what gating, doze, warp and bounded
+// lag buy. vadd keeps eight blocks of speculative work in flight, so it
+// rarely quiesces; mcf's pointer chase serializes its misses and spends most
+// of its cycles in warpable waits.
 func BenchmarkNUCAvsPerfectL2(b *testing.B) {
 	var rows []eval.ChipBenchRow
 	for _, cfg := range []struct {
 		name     string
 		workload string
 		nuca     bool
-		nowarp   bool
-		seq      bool
-		nodoze   bool
 	}{
-		{"perfect-l2", "vadd", false, false, false, false},
-		{"perfect-l2-nowarp", "vadd", false, true, false, false},
-		{"nuca", "vadd", true, false, false, false},
-		{"nuca-nowarp", "vadd", true, true, false, false},
-		{"nuca-nodoze", "vadd", true, false, false, true},
-		{"nuca-seq", "vadd", true, false, true, false},
-		{"mcf-nuca", "181.mcf", true, false, false, false},
-		{"mcf-nuca-nowarp", "181.mcf", true, true, false, false},
-		{"mcf-nuca-nodoze", "181.mcf", true, false, false, true},
-		{"mcf-nuca-seq", "181.mcf", true, false, true, false},
+		{"perfect-l2", "vadd", false},
+		{"nuca", "vadd", true},
+		{"mcf-nuca", "181.mcf", true},
 	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			start := time.Now()
-			cyc, cov := runCyclesCov(b, cfg.workload, eval.TRIPSOptions{Mode: tcc.Hand, UseNUCA: cfg.nuca, NoWarp: cfg.nowarp, SeqStep: cfg.seq, NoEventDriven: cfg.nodoze}, true)
-			if cfg.nuca {
-				rows = append(rows, eval.ChipBenchRow{
-					Bench: "NUCAvsPerfectL2", Variant: cfg.name,
-					NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(b.N),
-					Cycles:  int64(cyc), SkipCoverage: cov,
-				})
-			}
-			b.ReportMetric(cyc, "cycles")
-			b.ReportMetric(100*cov, "tile-skip-%")
-		})
+		for _, reference := range []bool{false, true} {
+			name := variant(cfg.name, reference)
+			b.Run(name, func(b *testing.B) {
+				start := time.Now()
+				cyc, cov := runCyclesCov(b, cfg.workload, eval.TRIPSOptions{Mode: tcc.Hand, UseNUCA: cfg.nuca, Reference: reference}, true)
+				if cfg.nuca {
+					rows = append(rows, eval.ChipBenchRow{
+						Bench: "NUCAvsPerfectL2", Variant: name,
+						NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(b.N),
+						Cycles:  int64(cyc), SkipCoverage: cov,
+					})
+				}
+				b.ReportMetric(cyc, "cycles")
+				b.ReportMetric(100*cov, "tile-skip-%")
+			})
+		}
 	}
 	if path := os.Getenv("BENCH_CHIP_JSON"); path != "" {
-		if os.Getenv("BENCH_CHIP_SWEEP") != "" {
-			if err := eval.MergeChipSweepJSON(path, runtime.GOMAXPROCS(0), rows); err != nil {
-				b.Fatal(err)
-			}
-		} else if err := eval.MergeChipBenchJSON(path, rows); err != nil {
+		if err := eval.MergeChipBenchJSON(path, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

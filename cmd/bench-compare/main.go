@@ -1,14 +1,15 @@
 // bench-compare diffs two benchmark baselines (see scripts/bench.sh).
 //
 //	bench-compare baseline.json fresh.json        Table 3 baselines
-//	bench-compare -chip baseline.json fresh.json  chip-stepping baselines
+//	bench-compare -chip baseline.json fresh.json  chip baselines
 //
 // Simulated cycle counts (CyclesHand, CyclesTCC, CyclesAlpha per workload in
 // Table 3 mode; the per-variant cycle column in chip mode) are
 // deterministic: any drift between the two files — including a row appearing
-// or disappearing — is a regression and exits nonzero. Host throughput (wall
-// time, ns per op, speedup ratios) varies by machine and load, so those
-// deltas are reported but never fail the run.
+// or disappearing — is a regression and exits nonzero, as is a chip-mode
+// default row without a reference row at the same cycles. Host throughput
+// varies by machine and load: Table 3 mode reports its deltas but never fails
+// on them, chip mode leaves host time to bench/.
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"trips/internal/eval"
 )
@@ -75,8 +77,9 @@ func main() {
 	compareTable3(args[0], args[1])
 }
 
-// compareChip diffs two ChipBenchReport files: cycle drift per
-// (bench, variant) cell fails, host ns/op and speedups are informational.
+// compareChip diffs two ChipBenchReport files on simulated cycles alone:
+// drift per (bench, variant) cell fails, as does a default row with no
+// reference row at the same cycles. Host time is compared with bench/.
 func compareChip(basePath, freshPath string) {
 	var base, fresh eval.ChipBenchReport
 	if err := load(basePath, &base); err != nil {
@@ -125,95 +128,32 @@ func compareChip(basePath, freshPath string) {
 		fmt.Printf("simulated cycles: %d chip-bench cells identical\n", len(names))
 	}
 
-	// Pairing audit: every cell is half of a seq/lag A/B pair, so an unpaired
-	// row means a partial bench run (interrupted filter, crashed variant). A
-	// partial fresh run must not pass as clean, and a partial baseline must
-	// not be silently accepted as the thing future runs are compared against.
-	pairErrs := 0
-	union := append(append([]eval.ChipBenchRow{}, base.Rows...), fresh.Rows...)
-	files := []struct {
+	// Every default row carries its proof: the same configuration on the
+	// reference, at the same simulated cycles. A row without one is a partial
+	// bench run (interrupted filter, crashed variant) and neither a valid
+	// fresh result nor a valid baseline.
+	for _, f := range []struct {
 		path string
-		rep  *eval.ChipBenchReport
-	}{{basePath, &base}, {freshPath, &fresh}}
-	for _, f := range files {
-		for _, m := range eval.MissingSeqPairings(f.rep.Rows, union) {
-			fmt.Printf("PAIR  %s: %s (partial bench run?)\n", f.path, m)
-			pairErrs++
-		}
-	}
-
-	// Sweep points re-measure the same cells at other GOMAXPROCS settings;
-	// the stepper is bit-identical across host parallelism, so a sweep cycle
-	// count disagreeing with the main row of the same file is drift.
-	for _, f := range files {
-		rows := make(map[string]eval.ChipBenchRow, len(f.rep.Rows))
-		for _, r := range f.rep.Rows {
-			rows[key(r)] = r
-		}
-		for _, p := range f.rep.Sweep {
-			r, ok := rows[p.Bench+"/"+p.Variant]
-			if ok && r.Cycles != p.Cycles {
-				fmt.Printf("DRIFT %s: sweep %s/%s@%dproc cycles %d vs main row %d\n",
-					f.path, p.Bench, p.Variant, p.GOMAXPROCS, p.Cycles, r.Cycles)
+		rows []eval.ChipBenchRow
+	}{{basePath, base.Rows}, {freshPath, fresh.Rows}} {
+		for _, r := range f.rows {
+			if strings.HasSuffix(r.Variant, eval.ReferenceSuffix) {
+				continue
+			}
+			ref, ok := eval.ReferenceRow(f.rows, r)
+			switch {
+			case !ok:
+				fmt.Printf("DRIFT %s: %s has no %s row (partial bench run?)\n", f.path, key(r), r.Variant+eval.ReferenceSuffix)
+				drift++
+			case ref.Cycles != r.Cycles:
+				fmt.Printf("DRIFT %s: %s cycles %d, reference %d\n", f.path, key(r), r.Cycles, ref.Cycles)
 				drift++
 			}
 		}
 	}
 
-	// Host time and stepping speedups: informational only.
-	for _, n := range names {
-		b, inBase := baseRows[n]
-		f, inFresh := freshRows[n]
-		if !inBase || !inFresh || b.NsPerOp == 0 {
-			continue
-		}
-		delta := (f.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-		fmt.Printf("host  %-32s %11.0f -> %11.0f ns/op (%+.1f%%)\n", n, b.NsPerOp, f.NsPerOp, delta)
-	}
-	// Tile-skip coverage (the event-driven doze overlay's engagement):
-	// deterministic per cell, but a coverage drop with identical cycles is a
-	// lost host-time optimization, not a correctness failure — so flag
-	// regressions informationally without failing the run.
-	for _, n := range names {
-		b, inBase := baseRows[n]
-		f, inFresh := freshRows[n]
-		if !inFresh || f.SkipCoverage == 0 && (!inBase || b.SkipCoverage == 0) {
-			continue
-		}
-		line := fmt.Sprintf("doze  %-32s %5.1f%% tile-skip coverage", n, 100*f.SkipCoverage)
-		if inBase && b.SkipCoverage > 0 {
-			line += fmt.Sprintf(" (baseline %5.1f%%)", 100*b.SkipCoverage)
-			if f.SkipCoverage < b.SkipCoverage-0.01 {
-				line += "  REGRESSION"
-			}
-		}
-		fmt.Println(line)
-	}
-	var speedKeys []string
-	for n := range fresh.Speedups {
-		speedKeys = append(speedKeys, n)
-	}
-	sort.Strings(speedKeys)
-	for _, n := range speedKeys {
-		line := fmt.Sprintf("speedup %-30s %.2fx", n, fresh.Speedups[n])
-		if b, ok := base.Speedups[n]; ok {
-			line += fmt.Sprintf(" (baseline %.2fx)", b)
-		}
-		fmt.Println(line)
-	}
-	for _, p := range fresh.Sweep {
-		if p.Speedup > 0 {
-			fmt.Printf("sweep   %-30s %d procs %.2fx\n", p.Bench+"/"+p.Variant, p.GOMAXPROCS, p.Speedup)
-		}
-	}
-
-	if pairErrs > 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: %d unpaired chip-bench row(s) — partial run is not a valid baseline\n", pairErrs)
-	}
 	if drift > 0 {
-		fmt.Fprintf(os.Stderr, "bench-compare: %d chip-bench cell(s) drifted in simulated cycles\n", drift)
-	}
-	if drift > 0 || pairErrs > 0 {
+		fmt.Fprintf(os.Stderr, "bench-compare: %d chip-bench cell(s) drifted in simulated cycles or lack a reference row\n", drift)
 		os.Exit(1)
 	}
 }

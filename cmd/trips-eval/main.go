@@ -21,14 +21,15 @@
 package main
 
 import (
+	"errors"
+	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-
-	"expvar"
 
 	"trips/internal/area"
 	"trips/internal/eval"
@@ -39,49 +40,93 @@ import (
 	"trips/internal/proc"
 )
 
+// options is trips-eval's flag surface.
+type options struct {
+	t1, t2, t3, f1, f2, f3, f4, f5b, f6, ablate, all bool
+
+	bench      string
+	workers    int
+	jsonOut    string
+	hostStats  bool
+	reference  bool
+	useNUCA    bool
+	flightDir  string
+	debugAddr  string
+	cpuprofile string
+	memprofile string
+}
+
+// parseFlags parses args into options, reporting usage and parse errors on
+// errOut.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("trips-eval", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.BoolVar(&o.t1, "table1", false, "print Table 1 (tile specifications)")
+	fs.BoolVar(&o.t2, "table2", false, "print Table 2 (control and data networks)")
+	fs.BoolVar(&o.t3, "table3", false, "run and print Table 3 (overheads and performance)")
+	fs.BoolVar(&o.f1, "fig1", false, "print Figure 1 (instruction formats)")
+	fs.BoolVar(&o.f2, "fig2", false, "print Figure 2 (chip block diagram)")
+	fs.BoolVar(&o.f3, "fig3", false, "print Figure 3 (micronetworks)")
+	fs.BoolVar(&o.f4, "fig4", false, "print Figure 4 (tile-level diagrams)")
+	fs.BoolVar(&o.f5b, "fig5b", false, "run and print Figure 5b (commit pipeline)")
+	fs.BoolVar(&o.f6, "fig6", false, "print Figure 6 (floorplan)")
+	fs.BoolVar(&o.ablate, "ablate", false, "run the design-choice ablations")
+	fs.BoolVar(&o.all, "all", false, "everything")
+	fs.StringVar(&o.bench, "bench", "", "restrict -table3/-ablate to one benchmark")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size for -table3/-ablate (0 = GOMAXPROCS)")
+	fs.StringVar(&o.jsonOut, "json", "", "write the -table3 report (rows + host throughput) to this file")
+	fs.BoolVar(&o.hostStats, "host", false, "print host throughput after -table3 (nondeterministic)")
+	fs.BoolVar(&o.reference, "reference", false, "run -table3 TRIPS rows on the naive reference stepper instead of the production one (results must not change)")
+	fs.BoolVar(&o.useNUCA, "nuca", false, "run -table3 TRIPS rows against the full secondary memory system instead of the perfect L2")
+	fs.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder on -table3 compiled-TRIPS runs; crash/limit dump bundles land in this directory (inspect with trips-debug)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		err := fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		fmt.Fprintln(errOut, err)
+		return nil, err
+	}
+	return o, nil
+}
+
+// validate rejects flag values and combinations that cannot run as asked,
+// so nothing is silently ignored.
+func (o *options) validate() error {
+	table3 := o.t3 || o.all
+	switch {
+	case !(o.t1 || o.t2 || o.t3 || o.f1 || o.f2 || o.f3 || o.f4 || o.f5b || o.f6 || o.ablate || o.all):
+		return errors.New("nothing to do: pass -all or at least one -table/-fig/-ablate flag (-h lists them)")
+	case !table3 && (o.reference || o.useNUCA || o.hostStats || o.jsonOut != "" || o.flightDir != ""):
+		return errors.New("-reference, -nuca, -host, -json and -flight-dir shape the -table3 run; pass -table3 (or -all) as well")
+	case !table3 && !o.ablate && o.bench != "":
+		return errors.New("-bench restricts -table3 and -ablate; pass one of them (or -all) as well")
+	}
+	return nil
+}
+
 func main() {
-	var (
-		t1         = flag.Bool("table1", false, "print Table 1 (tile specifications)")
-		t2         = flag.Bool("table2", false, "print Table 2 (control and data networks)")
-		t3         = flag.Bool("table3", false, "run and print Table 3 (overheads and performance)")
-		f1         = flag.Bool("fig1", false, "print Figure 1 (instruction formats)")
-		f2         = flag.Bool("fig2", false, "print Figure 2 (chip block diagram)")
-		f3         = flag.Bool("fig3", false, "print Figure 3 (micronetworks)")
-		f4         = flag.Bool("fig4", false, "print Figure 4 (tile-level diagrams)")
-		f5b        = flag.Bool("fig5b", false, "run and print Figure 5b (commit pipeline)")
-		f6         = flag.Bool("fig6", false, "print Figure 6 (floorplan)")
-		ablate     = flag.Bool("ablate", false, "run the design-choice ablations")
-		all        = flag.Bool("all", false, "everything")
-		bench      = flag.String("bench", "", "restrict -table3/-ablate to one benchmark")
-		workers    = flag.Int("workers", 0, "worker pool size for -table3/-ablate (0 = GOMAXPROCS)")
-		jsonOut    = flag.String("json", "", "write the -table3 report (rows + host throughput) to this file")
-		hostStats  = flag.Bool("host", false, "print host throughput after -table3 (nondeterministic)")
-		noFast     = flag.Bool("nofastpath", false, "run -table3 without quiescence-aware stepping (results must not change)")
-		noWarp     = flag.Bool("nowarp", false, "run -table3 without clock-warping (results must not change)")
-		noEvent    = flag.Bool("noeventdriven", false, "run -table3 without the per-tile event-driven doze overlay (results must not change)")
-		useNUCA    = flag.Bool("nuca", false, "run -table3 TRIPS rows against the full secondary memory system instead of the perfect L2")
-		seqStep    = flag.Bool("seq", false, "force sequential core/memory interleave for -nuca runs instead of bounded-lag stepping (results must not change)")
-		parStride  = flag.Int64("par-stride", 0, "cap bounded-lag stride length in cycles (0 = auto horizon; results must not change)")
-		flightDir  = flag.String("flight-dir", "", "arm the flight recorder on -table3 compiled-TRIPS runs; crash/limit dump bundles land in this directory (inspect with trips-debug)")
-		debugAddr  = flag.String("debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if *parStride < 0 {
-		fmt.Fprintf(os.Stderr, "trips-eval: -par-stride must be non-negative, got %d\n", *parStride)
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if *seqStep && !*useNUCA {
-		fmt.Fprintln(os.Stderr, "trips-eval: -seq selects the core/memory interleave for -nuca runs; pass -nuca as well")
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "trips-eval: %v\n", err)
 		os.Exit(2)
 	}
-	if !(*t1 || *t2 || *t3 || *f1 || *f2 || *f3 || *f4 || *f5b || *f6 || *ablate || *all) {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	run(o)
+}
+
+func run(o *options) {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -93,9 +138,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
@@ -107,60 +152,60 @@ func main() {
 			}
 		}()
 	}
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		expvar.Publish("eval_progress", expvar.Func(func() any {
 			return map[string]int64{
 				"rows_done":  eval.Progress.Rows.Load(),
 				"sim_cycles": eval.Progress.SimCycles.Load(),
 			}
 		}))
-		addr, err := obs.ServeDebug(*debugAddr)
+		addr, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "trips-eval: debug endpoint on http://%s/debug/vars\n", addr)
 	}
-	if *all {
-		*t1, *t2, *t3, *f1, *f2, *f3, *f4, *f5b, *f6, *ablate = true, true, true, true, true, true, true, true, true, true
+	if o.all {
+		o.t1, o.t2, o.t3, o.f1, o.f2, o.f3, o.f4, o.f5b, o.f6, o.ablate = true, true, true, true, true, true, true, true, true, true
 	}
-	if *f1 {
+	if o.f1 {
 		fig1()
 	}
-	if *f2 {
+	if o.f2 {
 		fig2()
 	}
-	if *f3 {
+	if o.f3 {
 		fig3()
 	}
-	if *f4 {
+	if o.f4 {
 		fig4()
 	}
-	if *t1 {
+	if o.t1 {
 		fmt.Println("== Table 1: TRIPS Tile Specifications ==")
 		fmt.Println(area.FormatTable1())
 	}
-	if *t2 {
+	if o.t2 {
 		fmt.Println("== Table 2: TRIPS Control and Data Networks ==")
 		fmt.Println(area.FormatTable2())
 	}
-	if *f6 {
+	if o.f6 {
 		fmt.Println("== Figure 6: TRIPS physical floorplan ==")
 		fmt.Println(area.Floorplan())
 		fmt.Printf("area overheads (Section 5.2): OPN ~%.0f%% of processor, OCN ~%.0f%% of chip, LSQs ~%.0f%% of processor (%.0f%% of each DT)\n\n",
 			area.OPNPctProcessorArea, area.OCNPctChipArea, area.LSQPctProcessorArea, area.LSQPctOfDT)
 	}
-	if *f5b {
+	if o.f5b {
 		fig5b()
 	}
-	if *t3 {
-		table3(*bench, *workers, *jsonOut, *hostStats, eval.Stepping{NoFastPath: *noFast, NoWarp: *noWarp, NoEventDriven: *noEvent, UseNUCA: *useNUCA, SeqStep: *seqStep, ParStride: *parStride, FlightDir: *flightDir})
-		if *flightDir != "" {
-			fmt.Fprintf(os.Stderr, "trips-eval: flight recorder was armed; dump bundles (if any) are under %s\n", *flightDir)
+	if o.t3 {
+		table3(o.bench, o.workers, o.jsonOut, o.hostStats, eval.Stepping{Reference: o.reference, UseNUCA: o.useNUCA, FlightDir: o.flightDir})
+		if o.flightDir != "" {
+			fmt.Fprintf(os.Stderr, "trips-eval: flight recorder was armed; dump bundles (if any) are under %s\n", o.flightDir)
 		}
 	}
-	if *ablate {
-		runAblations(*bench, *workers)
+	if o.ablate {
+		runAblations(o.bench, o.workers)
 	}
 }
 

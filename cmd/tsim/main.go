@@ -7,12 +7,11 @@
 //	tsim -bench vadd [-mode hand|tcc] [-placement naive|greedy]
 //	     [-opn 1|2] [-conservative] [-nuca] [-alpha] [-golden]
 //	     [-trace out.json] [-debug-addr :6060]
-//	     [-seq] [-par-stride n]
 //	     [-checkpoint-at n -checkpoint-out f] [-restore f]
 //	     [-sample-interval n [-sample-warmup n] [-sample-n k]]
 //	     [-flight [-flight-dir d] [-dump-on trig] [-flight-depth k] [-flight-interval n]]
 //	     [-max-cycles n] [-lag-deadline-pad n] [-lag-horizon-override n]
-//	     [-host] [-nofastpath] [-nowarp] [-noeventdriven] [-cpuprofile f] [-memprofile f]
+//	     [-host] [-reference] [-cpuprofile f] [-memprofile f]
 //
 // -checkpoint-at/-checkpoint-out frame the complete machine state at the
 // first block-commit boundary after the given cycle; -restore resumes such a
@@ -24,12 +23,16 @@
 // trigger (rollback, end, block=N, cycle=N) for trips-debug to replay. All
 // of these disable the critical-path analyzer (the checkpoint format does not
 // carry its events). -lag-deadline-pad / -lag-horizon-override inject bounded-lag
-// timing faults to exercise the recorder's violation paths.
+// timing faults to exercise the recorder's violation paths. -reference runs
+// the naive oracle instead of the production stepping; every simulated
+// number must come out the same.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -42,88 +45,114 @@ import (
 	"trips/internal/workloads"
 )
 
+// options is tsim's flag surface.
+type options struct {
+	list, conserv, useNUCA, alphaRun, goldenRun, stats, host, reference, flightOn bool
+
+	bench, mode, placement, traceOut, debugAddr, ckptOut, restore string
+	flightDir, dumpOn, cpuprofile, memprofile                     string
+
+	opn, sampleN, flightDep                                                 int
+	ckptAt, sampleInt, sampleWarm, flightInt, maxCycles, lagPad, lagHorizon int64
+}
+
+// parseFlags parses args into options, reporting usage and parse errors on
+// errOut.
+func parseFlags(args []string, errOut io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("tsim", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.BoolVar(&o.list, "list", false, "list available benchmarks")
+	fs.StringVar(&o.bench, "bench", "", "benchmark to run")
+	fs.StringVar(&o.mode, "mode", "hand", "compilation mode: hand or tcc")
+	fs.StringVar(&o.placement, "placement", "", "instruction placement: naive or greedy (default per mode)")
+	fs.IntVar(&o.opn, "opn", 1, "operand network channels (1 or 2)")
+	fs.BoolVar(&o.conserv, "conservative", false, "disable aggressive load issue")
+	fs.BoolVar(&o.useNUCA, "nuca", false, "use the NUCA secondary memory system instead of the perfect L2")
+	fs.StringVar(&o.traceOut, "trace", "", "record a protocol trace and write Chrome/Perfetto JSON to this file")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
+	fs.BoolVar(&o.alphaRun, "alpha", false, "also run the Alpha-class baseline")
+	fs.BoolVar(&o.goldenRun, "golden", false, "also run the golden interpreter")
+	fs.BoolVar(&o.stats, "stats", false, "print per-tile statistics")
+	fs.BoolVar(&o.host, "host", false, "print host throughput (sim-cycles/sec; nondeterministic)")
+	fs.BoolVar(&o.reference, "reference", false, "run the naive reference stepper instead of the production one (results must not change)")
+	fs.Int64Var(&o.ckptAt, "checkpoint-at", 0, "checkpoint at the first block commit after this cycle (requires -checkpoint-out)")
+	fs.StringVar(&o.ckptOut, "checkpoint-out", "", "write the checkpoint to this file (requires -checkpoint-at)")
+	fs.StringVar(&o.restore, "restore", "", "resume from this checkpoint file instead of starting at the entry block")
+	fs.Int64Var(&o.sampleInt, "sample-interval", 0, "SimPoint-style sampling: interval length in cycles (0 = off)")
+	fs.Int64Var(&o.sampleWarm, "sample-warmup", 0, "SimPoint-style sampling: cycles before the first sampled interval")
+	fs.IntVar(&o.sampleN, "sample-n", 8, "SimPoint-style sampling: maximum number of intervals")
+	fs.BoolVar(&o.flightOn, "flight", false, "arm the flight recorder: rolling checkpoints + crash-dump trace windows (see trips-debug)")
+	fs.StringVar(&o.flightDir, "flight-dir", "flight-dumps", "directory receiving flight-recorder dump bundles")
+	fs.IntVar(&o.flightDep, "flight-depth", 0, "flight recorder: rolling checkpoint ring depth (0 = default)")
+	fs.Int64Var(&o.flightInt, "flight-interval", 0, "flight recorder: cycles between rolling checkpoints (0 = default)")
+	fs.StringVar(&o.dumpOn, "dump-on", "", "flight recorder explicit trigger: rollback, end, block=N, or cycle=N (requires -flight)")
+	fs.Int64Var(&o.maxCycles, "max-cycles", 0, "cap the simulated run length in cycles (0 = default 200M)")
+	fs.Int64Var(&o.lagPad, "lag-deadline-pad", 0, "fault injection: pad bounded-lag response deadlines by this many cycles (diagnostics; overruns panic)")
+	fs.Int64Var(&o.lagHorizon, "lag-horizon-override", 0, "fault injection: force this bounded-lag stride horizon (diagnostics; overruns panic)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		err := fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		fmt.Fprintln(errOut, err)
+		return nil, err
+	}
+	return o, nil
+}
+
+// validate rejects flag values and combinations that cannot run as asked,
+// so nothing is silently ignored.
+func (o *options) validate() error {
+	switch {
+	case o.opn != 1 && o.opn != 2:
+		return fmt.Errorf("-opn must be 1 or 2, got %d", o.opn)
+	case o.mode != "hand" && o.mode != "tcc":
+		return fmt.Errorf("unknown mode %q", o.mode)
+	case o.placement != "" && o.placement != "naive" && o.placement != "greedy":
+		return fmt.Errorf("unknown placement %q", o.placement)
+	case o.ckptAt < 0:
+		return fmt.Errorf("-checkpoint-at must be positive, got %d", o.ckptAt)
+	case (o.ckptAt > 0) != (o.ckptOut != ""):
+		return errors.New("-checkpoint-at and -checkpoint-out must be used together")
+	case o.sampleInt < 0 || o.sampleWarm < 0 || o.sampleN <= 0:
+		return errors.New("-sample-interval and -sample-warmup must be non-negative, -sample-n positive")
+	case o.sampleInt > 0 && (o.ckptOut != "" || o.restore != ""):
+		return errors.New("-sample-interval cannot be combined with -checkpoint-out or -restore")
+	case o.dumpOn != "" && !o.flightOn:
+		return errors.New("-dump-on arms a flight-recorder trigger; pass -flight as well")
+	case o.flightOn && (o.ckptOut != "" || o.sampleInt > 0):
+		return errors.New("-flight cannot be combined with -checkpoint-out or -sample-interval (both own the commit hook)")
+	case o.maxCycles < 0 || o.lagPad < 0 || o.lagHorizon < 0:
+		return errors.New("-max-cycles, -lag-deadline-pad and -lag-horizon-override must be non-negative")
+	case o.reference && (o.lagPad > 0 || o.lagHorizon > 0 || o.dumpOn == "rollback"):
+		return errors.New("-reference strides nothing, so nothing can roll back: it cannot be combined with -lag-deadline-pad, -lag-horizon-override or -dump-on rollback")
+	case !o.list && o.bench == "":
+		return errors.New("pass -bench <name> (or -list)")
+	}
+	return nil
+}
+
 func main() {
-	var (
-		list       = flag.Bool("list", false, "list available benchmarks")
-		bench      = flag.String("bench", "", "benchmark to run")
-		mode       = flag.String("mode", "hand", "compilation mode: hand or tcc")
-		placement  = flag.String("placement", "", "instruction placement: naive or greedy (default per mode)")
-		opn        = flag.Int("opn", 1, "operand network channels (1 or 2)")
-		conserv    = flag.Bool("conservative", false, "disable aggressive load issue")
-		useNUCA    = flag.Bool("nuca", false, "use the NUCA secondary memory system instead of the perfect L2")
-		traceOut   = flag.String("trace", "", "record a protocol trace and write Chrome/Perfetto JSON to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-		alphaRun   = flag.Bool("alpha", false, "also run the Alpha-class baseline")
-		goldenRun  = flag.Bool("golden", false, "also run the golden interpreter")
-		stats      = flag.Bool("stats", false, "print per-tile statistics")
-		host       = flag.Bool("host", false, "print host throughput (sim-cycles/sec; nondeterministic)")
-		noFast     = flag.Bool("nofastpath", false, "disable quiescence-aware stepping (results must not change)")
-		noWarp     = flag.Bool("nowarp", false, "disable clock-warping over quiescent stretches (results must not change)")
-		noEvent    = flag.Bool("noeventdriven", false, "disable the per-tile event-driven doze overlay (results must not change)")
-		seqStep    = flag.Bool("seq", false, "force sequential core/memory interleave for -nuca runs instead of bounded-lag stepping (results must not change)")
-		parStride  = flag.Int64("par-stride", 0, "cap bounded-lag stride length in cycles (0 = auto horizon; results must not change)")
-		ckptAt     = flag.Int64("checkpoint-at", 0, "checkpoint at the first block commit after this cycle (requires -checkpoint-out)")
-		ckptOut    = flag.String("checkpoint-out", "", "write the checkpoint to this file (requires -checkpoint-at)")
-		restore    = flag.String("restore", "", "resume from this checkpoint file instead of starting at the entry block")
-		sampleInt  = flag.Int64("sample-interval", 0, "SimPoint-style sampling: interval length in cycles (0 = off)")
-		sampleWarm = flag.Int64("sample-warmup", 0, "SimPoint-style sampling: cycles before the first sampled interval")
-		sampleN    = flag.Int("sample-n", 8, "SimPoint-style sampling: maximum number of intervals")
-		flightOn   = flag.Bool("flight", false, "arm the flight recorder: rolling checkpoints + crash-dump trace windows (see trips-debug)")
-		flightDir  = flag.String("flight-dir", "flight-dumps", "directory receiving flight-recorder dump bundles")
-		flightDep  = flag.Int("flight-depth", 0, "flight recorder: rolling checkpoint ring depth (0 = default)")
-		flightInt  = flag.Int64("flight-interval", 0, "flight recorder: cycles between rolling checkpoints (0 = default)")
-		dumpOn     = flag.String("dump-on", "", "flight recorder explicit trigger: rollback, end, block=N, or cycle=N (requires -flight)")
-		maxCycles  = flag.Int64("max-cycles", 0, "cap the simulated run length in cycles (0 = default 200M)")
-		lagPad     = flag.Int64("lag-deadline-pad", 0, "fault injection: pad bounded-lag response deadlines by this many cycles (diagnostics; overruns panic)")
-		lagHorizon = flag.Int64("lag-horizon-override", 0, "fault injection: force this bounded-lag stride horizon (diagnostics; overruns panic)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "tsim: %v\n", err)
+		os.Exit(2)
+	}
+	run(o)
+}
 
-	if *opn != 1 && *opn != 2 {
-		fmt.Fprintf(os.Stderr, "tsim: -opn must be 1 or 2, got %d\n", *opn)
-		os.Exit(2)
-	}
-	if *parStride < 0 {
-		fmt.Fprintf(os.Stderr, "tsim: -par-stride must be non-negative, got %d\n", *parStride)
-		os.Exit(2)
-	}
-	if *seqStep && !*useNUCA {
-		fmt.Fprintln(os.Stderr, "tsim: -seq selects the core/memory interleave for -nuca runs; pass -nuca as well")
-		os.Exit(2)
-	}
-	if *ckptAt < 0 {
-		fmt.Fprintf(os.Stderr, "tsim: -checkpoint-at must be positive, got %d\n", *ckptAt)
-		os.Exit(2)
-	}
-	if (*ckptAt > 0) != (*ckptOut != "") {
-		fmt.Fprintln(os.Stderr, "tsim: -checkpoint-at and -checkpoint-out must be used together")
-		os.Exit(2)
-	}
-	if *sampleInt < 0 || *sampleWarm < 0 || *sampleN <= 0 {
-		fmt.Fprintln(os.Stderr, "tsim: -sample-interval and -sample-warmup must be non-negative, -sample-n positive")
-		os.Exit(2)
-	}
-	if *sampleInt > 0 && (*ckptOut != "" || *restore != "") {
-		fmt.Fprintln(os.Stderr, "tsim: -sample-interval cannot be combined with -checkpoint-out or -restore")
-		os.Exit(2)
-	}
-	if *dumpOn != "" && !*flightOn {
-		fmt.Fprintln(os.Stderr, "tsim: -dump-on arms a flight-recorder trigger; pass -flight as well")
-		os.Exit(2)
-	}
-	if *flightOn && (*ckptOut != "" || *sampleInt > 0) {
-		fmt.Fprintln(os.Stderr, "tsim: -flight cannot be combined with -checkpoint-out or -sample-interval (both own the commit hook)")
-		os.Exit(2)
-	}
-	if *maxCycles < 0 || *lagPad < 0 || *lagHorizon < 0 {
-		fmt.Fprintln(os.Stderr, "tsim: -max-cycles, -lag-deadline-pad and -lag-horizon-override must be non-negative")
-		os.Exit(2)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+func run(o *options) {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -135,9 +164,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
@@ -150,18 +179,14 @@ func main() {
 		}()
 	}
 
-	if *list {
+	if o.list {
 		fmt.Printf("%-12s %s\n", "benchmark", "class")
 		for _, w := range workloads.All() {
 			fmt.Printf("%-12s %s\n", w.Name, w.Class)
 		}
 		return
 	}
-	if *bench == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	w, err := workloads.ByName(*bench)
+	w, err := workloads.ByName(o.bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -169,20 +194,20 @@ func main() {
 
 	// The checkpoint format carries no critical-path events, so checkpoint,
 	// restore, sampling and the flight recorder all run without the analyzer.
-	crit := *ckptOut == "" && *restore == "" && *sampleInt == 0 && !*flightOn
-	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: *opn, ConservativeLoads: *conserv, UseNUCA: *useNUCA, NoFastPath: *noFast, NoWarp: *noWarp, NoEventDriven: *noEvent, SeqStep: *seqStep, ParStride: *parStride, MaxCycles: *maxCycles, LagHorizonOverride: *lagHorizon, LagDeadlinePad: *lagPad}
+	crit := o.ckptOut == "" && o.restore == "" && o.sampleInt == 0 && !o.flightOn
+	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: o.opn, ConservativeLoads: o.conserv, UseNUCA: o.useNUCA, Reference: o.reference, MaxCycles: o.maxCycles, LagHorizonOverride: o.lagHorizon, LagDeadlinePad: o.lagPad}
 	var tracer *obs.Tracer
 	var sampler *obs.Sampler
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		tracer = obs.NewTracer(0)
 		opt.Trace = tracer
 	}
-	if *traceOut != "" || *stats || *flightOn {
+	if o.traceOut != "" || o.stats || o.flightOn {
 		sampler = obs.NewSampler(0)
 		opt.Metrics = sampler
 	}
-	if *debugAddr != "" {
-		addr, err := obs.ServeDebug(*debugAddr)
+	if o.debugAddr != "" {
+		addr, err := obs.ServeDebug(o.debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -192,34 +217,24 @@ func main() {
 			obs.PublishSampler("tsim", sampler)
 		}
 	}
-	hand := true
-	switch *mode {
-	case "hand":
+	hand := o.mode == "hand"
+	opt.Mode = tcc.Compiled
+	if hand {
 		opt.Mode = tcc.Hand
-	case "tcc":
-		opt.Mode = tcc.Compiled
-		hand = false
-	default:
-		fmt.Fprintf(os.Stderr, "tsim: unknown mode %q\n", *mode)
-		os.Exit(2)
 	}
-	switch *placement {
-	case "":
+	switch o.placement {
 	case "naive":
 		opt.Placement = tcc.PlaceNaive
 	case "greedy":
 		opt.Placement = tcc.PlaceGreedy
-	default:
-		fmt.Fprintf(os.Stderr, "tsim: unknown placement %q\n", *placement)
-		os.Exit(2)
 	}
 
-	if *flightOn {
+	if o.flightOn {
 		opt.Flight = &eval.FlightOptions{
-			Dir:      *flightDir,
-			Depth:    *flightDep,
-			Interval: *flightInt,
-			DumpOn:   *dumpOn,
+			Dir:      o.flightDir,
+			Depth:    o.flightDep,
+			Interval: o.flightInt,
+			DumpOn:   o.dumpOn,
 			Tool:     "tsim",
 			Bench:    w.Name,
 			Hand:     hand,
@@ -228,13 +243,13 @@ func main() {
 
 	spec := w.Build(hand)
 
-	if *sampleInt > 0 {
-		runSampled(w, spec, opt, *sampleWarm, *sampleInt, *sampleN, *mode)
+	if o.sampleInt > 0 {
+		runSampled(w, spec, opt, o.sampleWarm, o.sampleInt, o.sampleN, o.mode)
 		return
 	}
 
-	if *restore != "" {
-		f, err := os.Open(*restore)
+	if o.restore != "" {
+		f, err := os.Open(o.restore)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -243,14 +258,14 @@ func main() {
 		opt.RestoreFrom = f
 	}
 	var ckptFile *os.File
-	if *ckptOut != "" {
-		f, err := os.Create(*ckptOut)
+	if o.ckptOut != "" {
+		f, err := os.Create(o.ckptOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		ckptFile = f
-		opt.CheckpointAt = *ckptAt
+		opt.CheckpointAt = o.ckptAt
 		opt.CheckpointTo = f
 	}
 
@@ -259,8 +274,8 @@ func main() {
 	wall := time.Since(t0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		if *flightOn {
-			fmt.Fprintf(os.Stderr, "tsim: flight-recorder dump bundles (if any) are under %s; inspect with trips-debug\n", *flightDir)
+		if o.flightOn {
+			fmt.Fprintf(os.Stderr, "tsim: flight-recorder dump bundles (if any) are under %s; inspect with trips-debug\n", o.flightDir)
 		}
 		os.Exit(1)
 	}
@@ -270,7 +285,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("%s (%s, %s mode):\n", w.Name, w.Class, *mode)
+	fmt.Printf("%s (%s, %s mode):\n", w.Name, w.Class, o.mode)
 	fmt.Printf("  cycles            %d\n", r.Cycles)
 	fmt.Printf("  committed blocks  %d (avg %.1f useful insts/block)\n", r.Blocks, r.BlockSize)
 	fmt.Printf("  committed insts   %d\n", r.Insts)
@@ -286,15 +301,15 @@ func main() {
 		fmt.Printf("  output r%d = %d\n", out, r.Regs[out])
 	}
 	if ckptFile != nil {
-		fmt.Printf("  checkpoint: wrote %s (armed at cycle %d)\n", *ckptOut, *ckptAt)
+		fmt.Printf("  checkpoint: wrote %s (armed at cycle %d)\n", o.ckptOut, o.ckptAt)
 	}
-	if *restore != "" {
-		fmt.Printf("  restored from %s\n", *restore)
+	if o.restore != "" {
+		fmt.Printf("  restored from %s\n", o.restore)
 	}
 	for _, d := range r.FlightDumps {
 		fmt.Printf("  flight dump: %s (inspect with trips-debug info %s)\n", d, d)
 	}
-	if *stats {
+	if o.stats {
 		fmt.Print(r.Stats.String())
 		if r.NUCA != nil {
 			fmt.Println(r.NUCA.String())
@@ -304,13 +319,13 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		if err := obs.WriteChromeFile(*traceOut, tracer, sampler); err != nil {
+		if err := obs.WriteChromeFile(o.traceOut, tracer, sampler); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("  trace: %d events (%d dropped) -> %s\n", tracer.Total(), tracer.Dropped(), *traceOut)
+		fmt.Printf("  trace: %d events (%d dropped) -> %s\n", tracer.Total(), tracer.Dropped(), o.traceOut)
 	}
-	if *host {
+	if o.host {
 		fmt.Printf("  host: %.1f ms wall, %.0f sim-cycles/sec, %.0f ns/sim-cycle\n",
 			float64(wall.Nanoseconds())/1e6,
 			float64(r.Cycles)/wall.Seconds(),
@@ -327,7 +342,7 @@ func main() {
 		}
 	}
 
-	if *goldenRun {
+	if o.goldenRun {
 		regs, _, ir, err := eval.RunGolden(spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -342,7 +357,7 @@ func main() {
 			fmt.Printf("  r%d = %d  %s\n", out, regs[out], match)
 		}
 	}
-	if *alphaRun {
+	if o.alphaRun {
 		ar, err := eval.RunAlpha(w.Build(false))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

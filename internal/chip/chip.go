@@ -8,32 +8,12 @@ package chip
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"trips/internal/mem"
-	"trips/internal/micronet"
 	"trips/internal/nuca"
 	"trips/internal/obs"
 	"trips/internal/proc"
-)
-
-// horizonNever means no deadline-held event is outstanding (the shared
-// sentinel convention; see micronet.HorizonNever).
-const horizonNever = micronet.HorizonNever
-
-// Stepping selects the chip's run-loop scheduler.
-type Stepping int
-
-const (
-	// StepLag (the default) is the bounded-lag coordinator: each core runs
-	// ahead on its own local clock in strides bounded by the provable
-	// cross-core visibility horizon, with locally quiet cores warping even
-	// while others are busy. Bit-identical to StepSeq.
-	StepLag Stepping = iota
-	// StepSeq forces the legacy globally synchronous stepper (one chip
-	// cycle at a time, whole-machine warp gate).
-	StepSeq
 )
 
 // Config parameterizes a chip instance.
@@ -48,17 +28,14 @@ type Config struct {
 	// Scratchpad configures the MTs as on-chip memory.
 	Scratchpad bool
 	MaxCycles  int64
-	// NoWarp disables clock-warping over chip-wide quiescent stretches
-	// (for A/B bit-identity checks, mirroring proc.Config.NoWarp).
-	NoWarp bool
-	// NoEventDriven disables the per-tile doze overlay inside each core
-	// (for A/B bit-identity checks, mirroring proc.Config.NoEventDriven).
-	NoEventDriven bool
-	// NoParallel forces the two cores to step sequentially on one host
-	// thread instead of the deterministic two-phase parallel step.
-	NoParallel bool
-	// Stepping selects the run-loop scheduler (default bounded-lag).
-	Stepping Stepping
+	// Reference selects the naive oracle instead of the production stepper
+	// (the bounded-lag coordinator over gated, dozing, warping cores): one
+	// globally synchronous cycle at a time — core 0, core 1, the DMA engines,
+	// then the memory system, in program order — with every tile ticked every
+	// cycle (proc.Config.Reference) and every cycle visited. The two are
+	// bit-identical for every observable; the reference exists solely so
+	// tests can compare the production stepper against it.
+	Reference bool
 	// LagHorizonOverride is a test-only fault-injection hook: when
 	// positive, bounded-lag strides use G+n as their horizon instead of
 	// the provably safe bounds, making rollbacks reachable.
@@ -68,17 +45,14 @@ type Config struct {
 	// provable bound, so cores waiting on memory overshoot the true effect
 	// cycle and exercise the rollback path.
 	LagDeadlinePad int64
-	// Trace holds one optional tracer per core. The entries must be
-	// distinct objects: the compute phase steps the two cores on
-	// concurrent goroutines, and a Tracer is single-goroutine.
+	// Trace holds one optional tracer per core.
 	Trace [2]*obs.Tracer
 	// OCNTrace optionally records the shared OCN's per-message transport
-	// events (emitted from the serial exchange phase).
+	// events.
 	OCNTrace *obs.Tracer
 	// Metrics optionally samples chip-level series (OCN occupancy, MSHR
-	// and SDRAM queue depth, DMA progress, warp engagement). It is driven
-	// from the serial exchange phase only, never from a core's parallel
-	// compute step.
+	// and SDRAM queue depth, DMA progress, warp engagement), driven from
+	// the memory system's tick.
 	Metrics *obs.Sampler
 }
 
@@ -91,32 +65,25 @@ type Chip struct {
 	cfg   Config
 	cycle int64
 
-	// Warps counts successful chip-wide clock warps; WarpedCycles the
-	// simulated cycles they skipped. Together with the per-core counters
-	// they make warp engagement observable without a trace. Under
-	// bounded-lag stepping these aggregate the coordinator's joint and
-	// memory-domain warps.
+	// Warps counts chip-level clock warps — the coordinator's joint and
+	// memory-domain warps — and WarpedCycles the simulated cycles they
+	// skipped. Together with the per-core counters they make warp
+	// engagement observable without a trace. Zero on the reference.
 	Warps        uint64
 	WarpedCycles int64
 
 	// Lag holds the bounded-lag coordinator's telemetry (stride lengths,
-	// stall reasons, rollbacks); zero after a StepSeq run.
+	// stall reasons, rollbacks); zero on the reference.
 	Lag proc.LagStats
 
-	// step1/done1 drive a persistent worker goroutine for core 1 during
-	// parallel stepping: spawning a goroutine per cycle costs ~2µs, a
-	// channel ping-pong a few hundred ns. The worker is started lazily on
-	// the first parallel step and stopped as soon as either core finishes.
-	step1, done1 chan struct{}
-
 	// Checkpoint hook: ckptFn fires once at the first chip cycle past
-	// ckptAt on which a block commits on any core, then disarms. Both
-	// steppers honor it; the bounded-lag stepper parks every clock at
-	// ckptAt and locksteps to the commit boundary first.
+	// ckptAt on which a block commits on any core, then disarms. The
+	// production stepper parks every clock at ckptAt and locksteps to the
+	// commit boundary first.
 	ckptAt int64
 	ckptFn func(cycle int64) error
 	// Rollback hook: forwarded to LagConfig.OnRollback so observers (the
-	// flight recorder) see effect-gate rewinds under StepLag.
+	// flight recorder) see effect-gate rewinds.
 	onRollback func(owner int, from, effect int64)
 }
 
@@ -129,10 +96,10 @@ func (c *Chip) SetCheckpointHook(at int64, fn func(cycle int64) error) {
 	c.ckptFn = fn
 }
 
-// SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds under
-// StepLag: owner is the memory-port owner id (core index), from the cycle
-// the core had run ahead to, effect the rewound-to cycle. Observability
-// only — fn must not touch simulated state.
+// SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds: owner
+// is the memory-port owner id (core index), from the cycle the core had run
+// ahead to, effect the rewound-to cycle. Observability only — fn must not
+// touch simulated state.
 func (c *Chip) SetRollbackHook(fn func(owner int, from, effect int64)) {
 	c.onRollback = fn
 }
@@ -146,29 +113,6 @@ func (c *Chip) committedBlocks() uint64 {
 		}
 	}
 	return n
-}
-
-// startWorker launches the core-1 step worker.
-func (c *Chip) startWorker() {
-	c.step1 = make(chan struct{})
-	c.done1 = make(chan struct{})
-	go func() {
-		for range c.step1 {
-			c.Cores[1].Step()
-			c.done1 <- struct{}{}
-		}
-		close(c.done1)
-	}()
-}
-
-// stopWorker tears down the core-1 step worker, if running.
-func (c *Chip) stopWorker() {
-	if c.step1 == nil {
-		return
-	}
-	close(c.step1)
-	<-c.done1
-	c.step1, c.done1 = nil, nil
 }
 
 // New builds and boots a chip: the external bus controller's PowerPC host
@@ -203,7 +147,7 @@ func New(cfg Config) (*Chip, error) {
 			Mem:             backend,
 			ExternalMemTick: true,
 			MaxCycles:       cfg.MaxCycles,
-			NoEventDriven:   cfg.NoEventDriven,
+			Reference:       cfg.Reference,
 			Trace:           cfg.Trace[i],
 		})
 		if err != nil {
@@ -214,12 +158,9 @@ func New(cfg Config) (*Chip, error) {
 	c.DMA[0] = &DMA{chip: c, id: 0}
 	c.DMA[1] = &DMA{chip: c, id: 1}
 	c.C2C = &C2C{}
-	// Port owners map each port to the core whose steps may touch it. Both
-	// steppers rely on this: the parallel compute phase keeps each core's
-	// staging counters on per-owner cells (two cores incrementing one shared
-	// counter would race), and the bounded-lag coordinator additionally gates
-	// drains and strides per owner. The DMA controllers stay ownerless — they
-	// submit from the serial memory phase itself.
+	// Port owners map each port to the core whose steps may touch it: the
+	// bounded-lag coordinator gates drains and strides per owner. The DMA
+	// controllers stay ownerless — they submit from the memory phase itself.
 	c.Mem.AssignOwners(func(name string) int {
 		if strings.HasPrefix(name, "p1:") {
 			return 1
@@ -230,8 +171,6 @@ func New(cfg Config) (*Chip, error) {
 		return 0
 	})
 	if sm := cfg.Metrics; sm != nil {
-		// These closures read core and DMA state, which is safe because the
-		// sampler fires from the OCN tick in the serial exchange phase.
 		sm.Register("chip.warped_cycles", func() int64 { return c.WarpedCycles })
 		sm.Register("dma.moved", func() int64 {
 			return int64(c.DMA[0].Moved + c.DMA[1].Moved)
@@ -279,32 +218,14 @@ type coreBackend struct {
 func (b *coreBackend) Port(name string) proc.MemPort { return b.sys.Port(b.prefix + name) }
 func (b *coreBackend) Tick()                         {} // the chip ticks the OCN once per cycle
 
-// Step advances the whole chip one cycle as a deterministic two-phase
-// step. Compute phase: the two cores step concurrently — they share only
-// the OCN, whose port Submit paths touch port-local state only. Exchange
-// phase: DMA ticks and the OCN tick (which drains port queues and assigns
-// transaction ids in fixed order) run serialized, so every cross-core
-// interaction happens in the same order as a sequential step.
+// Step advances the whole chip one globally synchronous cycle: each running
+// core steps, then the DMA engines tick, then the memory system — the
+// program order every stepper's results are defined by. It is the
+// reference's whole loop body and the production stepper's lockstep phase.
 func (c *Chip) Step() {
-	run0 := c.Cores[0] != nil && !c.Cores[0].Done()
-	run1 := c.Cores[1] != nil && !c.Cores[1].Done()
-	// On a single-thread host the worker goroutine can only add ping-pong
-	// overhead, so fall back to sequential stepping (the two orders are
-	// outcome-identical: the compute phase has no cross-core interaction).
-	if run0 && run1 && !c.cfg.NoParallel && runtime.GOMAXPROCS(0) > 1 {
-		if c.step1 == nil {
-			c.startWorker()
-		}
-		c.step1 <- struct{}{}
-		c.Cores[0].Step()
-		<-c.done1
-	} else {
-		c.stopWorker()
-		if run0 {
-			c.Cores[0].Step()
-		}
-		if run1 {
-			c.Cores[1].Step()
+	for _, core := range c.Cores {
+		if core != nil && !core.Done() {
+			core.Step()
 		}
 	}
 	for _, d := range c.DMA {
@@ -329,37 +250,29 @@ func (c *Chip) Done() bool {
 	return true
 }
 
-// Run executes until completion under the configured stepper. Both
-// steppers are bit-identical for every observable: identical cycle counts,
-// registers, stats, and identical errors at identical cycles on the limit
-// boundary.
+// Run executes until completion. The production stepper and the reference
+// are bit-identical for every observable: identical cycle counts, registers,
+// stats, and identical errors at identical cycles on the limit boundary.
 func (c *Chip) Run() error {
-	if c.cfg.Stepping == StepSeq {
-		return c.runSeq()
+	if c.cfg.Reference {
+		return c.runReference()
 	}
 	return c.runLag()
 }
 
-// runSeq executes until completion one globally synchronous cycle at a
-// time, warping the clock over chip-wide quiescent stretches. The check
-// order at the cycle-limit boundary matters: the step at cycle == limit is
-// still executed (a chip completing during that very cycle succeeds rather
-// than reporting a spurious limit error), and the error fires only once the
-// clock has passed the limit with work still outstanding. tryWarp clamps
-// its horizon to limit, so a warped run lands on exactly the boundary cycle
-// an unwarped run steps to, executes the same final step, and reports the
-// limit error at the same cycle.
-func (c *Chip) runSeq() error {
+// runReference executes until completion one globally synchronous cycle at
+// a time, visiting every cycle. The check order at the cycle-limit boundary
+// matters: the step at cycle == limit is still executed (a chip completing
+// during that very cycle succeeds rather than reporting a spurious limit
+// error), and the error fires only once the clock has passed the limit with
+// work still outstanding.
+func (c *Chip) runReference() error {
 	limit := c.cfg.MaxCycles
 	if limit == 0 {
-		limit = 200_000_000
+		limit = proc.DefaultMaxCycles
 	}
-	defer c.stopWorker()
 	lastBlocks := c.committedBlocks()
 	for !c.Done() {
-		if !c.cfg.NoWarp {
-			c.tryWarp(limit)
-		}
 		if c.cycle > limit {
 			return fmt.Errorf("chip: cycle limit %d exceeded", limit)
 		}
@@ -387,7 +300,7 @@ func (c *Chip) runSeq() error {
 // core's clock.
 func (c *Chip) runLag() error {
 	// Checkpoint capture under bounded-lag stepping: park every clock at
-	// the arm cycle (LagConfig.StopAt aligns core and backend clocks at a
+	// the arm cycle (a RunBoundedLag stop aligns core and backend clocks at a
 	// lockstep boundary), lockstep sequentially to the next block-commit
 	// boundary, capture, and resume the coordinator. fn may re-arm the hook
 	// via SetCheckpointHook for rolling captures (the flight recorder). The
@@ -417,17 +330,14 @@ func (c *Chip) runLag() error {
 			c.ckptFn = nil
 		}
 	}
-	return c.runLagPhase(0)
+	return c.runLagPhase(proc.NoStop)
 }
 
 // runLagPhase runs the bounded-lag coordinator until completion, or until
-// every clock parks at stopAt (stopAt > 0). Warp accounting is by delta:
-// the coordinator accumulates into c.Lag across phases.
+// every clock parks at stopAt (proc.NoStop: run to completion). Warp
+// accounting is by delta: the coordinator accumulates into c.Lag across
+// phases.
 func (c *Chip) runLagPhase(stopAt int64) error {
-	limit := c.cfg.MaxCycles
-	if limit == 0 {
-		limit = 200_000_000
-	}
 	var cores []proc.LagCore
 	for i, core := range c.Cores {
 		if core != nil {
@@ -437,13 +347,10 @@ func (c *Chip) runLagPhase(stopAt int64) error {
 	preWarps := c.Lag.JointWarps + c.Lag.MemWarps
 	preWarped := c.Lag.JointWarpedCycles + c.Lag.MemWarpedCycles
 	g, err := proc.RunBoundedLag(c.Mem, cores, proc.LagConfig{
-		Limit:           limit,
-		NoWarp:          c.cfg.NoWarp,
-		Parallel:        !c.cfg.NoParallel,
+		Limit:           c.cfg.MaxCycles,
 		HorizonOverride: c.cfg.LagHorizonOverride,
 		DeadlinePad:     c.cfg.LagDeadlinePad,
 		OnRollback:      c.onRollback,
-		StopAt:          stopAt,
 		PreTick: func(int64) {
 			for _, d := range c.DMA {
 				d.tick()
@@ -454,8 +361,11 @@ func (c *Chip) runLagPhase(stopAt int64) error {
 		},
 		CanWarpExtra: func() bool {
 			for _, d := range c.DMA {
-				// Same gate as tryWarp: a DMA between OCN transactions
-				// issues on the very next tick, so no warp is possible.
+				// A DMA between OCN transactions (line boundary, or a
+				// Submit that was refused) issues its next request on the
+				// very next tick, so no warp is possible. In flight it is a
+				// pure waiter — its Done closure fires from the OCN tick,
+				// which the memory system's deadlines cover.
 				if d.Busy() && !d.inFlight {
 					return false
 				}
@@ -466,77 +376,20 @@ func (c *Chip) runLagPhase(stopAt int64) error {
 		LimitErr: func(l int64) error {
 			return fmt.Errorf("chip: cycle limit %d exceeded", l)
 		},
-	})
+	}, stopAt)
 	c.cycle = g
 	c.Warps += c.Lag.JointWarps + c.Lag.MemWarps - preWarps
 	c.WarpedCycles += c.Lag.JointWarpedCycles + c.Lag.MemWarpedCycles - preWarped
 	return err
 }
 
-// tryWarp jumps the chip clock to the next event horizon when every
-// component's future is deadline-describable: each running core quiescent,
-// the memory system quiet (fully drained, or holding only deadline-bounded
-// work — a solo in-transit OCN message, staged injections, multi-flit
-// serializations, SDRAM jobs), and every busy DMA a pure waiter on an OCN
-// round-trip. The horizon is the minimum of the cores' scheduled events and
-// the memory system's drain deadlines (backend events at cycle R are
-// serviced during the chip step at R-1).
-//
-// Boundary handling: the horizon is clamped to limit after the minimum is
-// taken, which also converts a horizonNever result (nothing scheduled
-// anywhere — a deadlock) into a warp straight to the boundary; in both
-// cases a warped run then steps and errors at exactly the cycles an
-// unwarped run would, so the clamp must stay downstream of every other
-// horizon source (see the A/B limit-boundary tests).
-func (c *Chip) tryWarp(limit int64) {
-	if !c.Mem.Quiet() {
-		return
-	}
-	for _, d := range c.DMA {
-		// A DMA between OCN transactions (line boundary, or a Submit that
-		// was refused) issues its next request on the very next tick: its
-		// deadline is "now", so no warp is possible. In flight it is a pure
-		// waiter — its Done closure fires from the serial OCN tick, which
-		// the memory system's deadlines cover.
-		if d.Busy() && !d.inFlight {
-			return
-		}
-	}
-	h := horizonNever
-	for _, core := range c.Cores {
-		if core == nil || core.Done() {
-			continue
-		}
-		if !core.Quiescent() {
-			return
-		}
-		h = micronet.MinHorizon(h, core.NextEventCycle())
-	}
-	h = micronet.FoldBackendHorizon(h, c.Mem.NextEventCycle())
-	if h > limit {
-		h = limit
-	}
-	if h <= c.cycle {
-		return
-	}
-	for _, core := range c.Cores {
-		if core != nil && !core.Done() {
-			core.WarpTo(h)
-		}
-	}
-	c.Warps++
-	c.WarpedCycles += h - c.cycle
-	c.Mem.Warp(h - c.cycle)
-	c.cycle = h
-}
-
 // Cycle returns the chip cycle count.
 func (c *Chip) Cycle() int64 { return c.cycle }
 
 // TileActivity sums the per-core tile stepping telemetry: ticks (tile ticks
-// actually executed), skips (tile ticks elided by the event-driven doze
-// overlay), and stepped (per-core Step invocations; warped cycles excluded).
-// ticks+skips == 30*stepped always; the skip share is the doze coverage.
+// actually executed), skips (tile ticks elided by the active gate and the
+// doze overlay; zero on the reference), and stepped (per-core Step
+// invocations; warped cycles excluded). ticks+skips == 30*stepped always.
 func (c *Chip) TileActivity() (ticks, skips uint64, stepped int64) {
 	for _, core := range c.Cores {
 		if core == nil {

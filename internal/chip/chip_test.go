@@ -1,17 +1,13 @@
 package chip
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"trips/internal/eval"
 	"trips/internal/isa"
 	"trips/internal/mem"
 	"trips/internal/proc"
-	"trips/internal/tcc"
-	"trips/internal/workloads"
 )
 
 // countProgram builds a block chain that adds `iters` to r8 and halts.
@@ -154,117 +150,9 @@ func TestDMATransfer(t *testing.T) {
 	}
 }
 
-// TestChipStepModesBitIdentical runs the same dual-core chip under all four
-// stepping modes — {parallel, sequential} x {warp, no-warp} — and requires
-// identical chip cycle counts and core results. GOMAXPROCS is raised to 2 so
-// the parallel two-phase step actually takes the worker-goroutine path even
-// on a single-CPU host (Step falls back to sequential at GOMAXPROCS 1). The
-// core programs have different lengths so one core retires first, covering
-// the worker teardown and the parallel->sequential transition mid-run.
-func TestChipStepModesBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	run := func(noWarp, noParallel bool) (int64, proc.Result, proc.Result) {
-		p0 := countProgram(t, 0x100000, 40)
-		p1 := countProgram(t, 0x200000, 15)
-		c, err := New(Config{
-			Programs:   [2]*proc.Program{p0, p1},
-			MaxCycles:  5_000_000,
-			NoWarp:     noWarp,
-			NoParallel: noParallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Cycle(), c.Cores[0].Result(), c.Cores[1].Result()
-	}
-	refCyc, ref0, ref1 := run(true, true) // sequential, no warp: the baseline
-	for _, m := range []struct {
-		name               string
-		noWarp, noParallel bool
-	}{
-		{"parallel+warp", false, false},
-		{"parallel+nowarp", true, false},
-		{"sequential+warp", false, true},
-	} {
-		cyc, r0, r1 := run(m.noWarp, m.noParallel)
-		if cyc != refCyc {
-			t.Errorf("%s: chip cycles %d, want %d", m.name, cyc, refCyc)
-		}
-		if r0 != ref0 {
-			t.Errorf("%s: core 0 diverged:\n  got:  %+v\n  want: %+v", m.name, r0, ref0)
-		}
-		if r1 != ref1 {
-			t.Errorf("%s: core 1 diverged:\n  got:  %+v\n  want: %+v", m.name, r1, ref1)
-		}
-	}
-}
-
-// TestDualCoreWorkloads compiles a real benchmark and runs it on BOTH
-// cores simultaneously, each with its own code copy, private L1s and a
-// private half of the partitioned NUCA L2, sharing only the SDRAM.
-func TestDualCoreWorkloads(t *testing.T) {
-	w, err := workloads.ByName("vadd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec0 := w.Build(true)
-	spec1 := w.Build(true)
-	gold, _, _, err := eval.RunGolden(w.Build(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog0, meta0, err := tcc.Compile(spec0.F, tcc.Options{Mode: tcc.Hand, BaseAddr: 0x10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog1, meta1, err := tcc.Compile(spec1.F, tcc.Options{Mode: tcc.Hand, BaseAddr: 0x40000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backing := mem.New()
-	spec0.SetupMem(backing) // both cores read the same input arrays
-	c, err := New(Config{
-		Programs:  [2]*proc.Program{prog0, prog1},
-		Backing:   backing,
-		Partition: true,
-		MaxCycles: 50_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, val := range spec0.Init {
-		if gr, ok := meta0.RegOf[v]; ok {
-			c.Cores[0].SetRegister(0, gr, val)
-		}
-	}
-	for v, val := range spec1.Init {
-		if gr, ok := meta1.RegOf[v]; ok {
-			c.Cores[1].SetRegister(0, gr, val)
-		}
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for ci, meta := range []*tcc.Meta{meta0, meta1} {
-		for _, out := range spec0.Outputs {
-			gr, ok := meta.RegOf[out]
-			if !ok {
-				t.Fatalf("core %d: output r%d untracked", ci, out)
-			}
-			if got := c.Cores[ci].Register(0, gr); got != gold[out] {
-				t.Errorf("core %d: r%d = %d, golden %d", ci, out, got, gold[out])
-			}
-		}
-	}
-	r0, r1 := c.Cores[0].Result(), c.Cores[1].Result()
-	if r0.CommittedBlocks == 0 || r1.CommittedBlocks == 0 {
-		t.Errorf("cores committed %d / %d blocks", r0.CommittedBlocks, r1.CommittedBlocks)
-	}
-}
+// TestDualCoreWorkloads runs a real compiled benchmark on both cores of the
+// reference and holds the oracle itself to the golden interpreter.
+func TestDualCoreWorkloads(t *testing.T) { vaddMatchesGolden(t, reference) }
 
 // TestCoreFlushCachesOnChipCoreReturns pins the fix for Core.FlushCaches
 // spinning on a chip core: the core's own backend handle does not tick the

@@ -13,7 +13,7 @@ import (
 // ckptChipConfig builds the round-trip scenario: two cores of different
 // lengths (one retires mid-run), a DMA stream in flight through the OCN,
 // and a seeded backing memory, under the requested stepper.
-func ckptChipConfig(t *testing.T, stepping Stepping, noWarp bool) Config {
+func ckptChipConfig(t *testing.T, reference bool) Config {
 	t.Helper()
 	backing := mem.New()
 	for i := 0; i < 64; i++ {
@@ -23,8 +23,7 @@ func ckptChipConfig(t *testing.T, stepping Stepping, noWarp bool) Config {
 		Programs:  [2]*proc.Program{countProgram(t, 0x100000, 60), countProgram(t, 0x200000, 25)},
 		Backing:   backing,
 		MaxCycles: 5_000_000,
-		Stepping:  stepping,
-		NoWarp:    noWarp,
+		Reference: reference,
 	}
 }
 
@@ -67,67 +66,83 @@ func ckptCompareOutcomes(t *testing.T, label string, got, want ckptOutcome) {
 	}
 }
 
-// TestChipCheckpointRoundTrip checkpoints a dual-core chip mid-run — DMA
-// stream in flight, both cores live — and requires the restored chip to
-// finish bit-identically to the uninterrupted reference, under both
-// steppers and with cross-stepper restores (a checkpoint taken under one
-// stepper restored under the other).
+// TestChipCheckpointRoundTrip checkpoints a dual-core chip — DMA stream in
+// flight, both cores live — under the production stepper and under the
+// reference, and requires both to capture at the same cycle, the
+// checkpointed runs to finish as the uninterrupted reference does, and every
+// frame to restore under either stepper and finish identically. The arm
+// cycles cover the hook's whole domain: mid-run, cycle 0 (the first commit —
+// under bounded lag "park at 0" once read as "no stop" and fired at the end
+// of the run), and a cycle the chip has already passed when the hook is
+// armed (re-armed from inside the first capture for an earlier cycle, which
+// must fire at the very next commit boundary).
 func TestChipCheckpointRoundTrip(t *testing.T) {
 	steppers := []struct {
-		name string
-		s    Stepping
-	}{{"seq", StepSeq}, {"lag", StepLag}}
-	for _, save := range steppers {
-		// Uninterrupted reference.
-		ref, err := New(ckptChipConfig(t, save.s, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.DMA[0].Program(0x700000, 0x740000, 512)
-		want := ckptFinishChip(t, ref)
-
-		// Checkpointed run: capture at the first commit after cycle 300
-		// (the DMA stream is still moving), then continue to completion.
-		c, err := New(ckptChipConfig(t, save.s, false))
+		name      string
+		reference bool
+	}{{"production", false}, {"reference", true}}
+	start := func(reference bool) *Chip {
+		c, err := New(ckptChipConfig(t, reference))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.DMA[0].Program(0x700000, 0x740000, 512)
-		var buf bytes.Buffer
-		var capturedAt int64
-		c.SetCheckpointHook(300, func(cycle int64) error {
-			capturedAt = cycle
-			return c.Checkpoint(&buf)
-		})
-		got := ckptFinishChip(t, c)
-		ckptCompareOutcomes(t, save.name+" checkpointed run", got, want)
-		if capturedAt <= 300 {
-			t.Fatalf("%s: checkpoint hook fired at cycle %d", save.name, capturedAt)
-		}
-		if c.DMA[0].Moved >= 512 && capturedAt < want.cycles/4 {
-			t.Logf("%s: note: DMA already done at capture cycle %d", save.name, capturedAt)
-		}
+		return c
+	}
+	want := ckptFinishChip(t, start(true))
 
-		for _, restore := range steppers {
-			rc, err := RestoreChip(bytes.NewReader(buf.Bytes()), ckptChipConfig(t, restore.s, false))
-			if err != nil {
-				t.Fatalf("restore %s->%s: %v", save.name, restore.name, err)
+	for _, arm := range []struct {
+		name     string
+		at       int64
+		rearmFor int64 // >= 0: re-arm from inside the first capture for this cycle, keep the second frame
+	}{
+		{"mid-run", 300, -1},
+		{"cycle 0", 0, -1},
+		{"cycle already passed", 300, 100},
+	} {
+		// Frames are compared by capture cycle and size, not byte for byte:
+		// the wire format carries the warp counters and the response
+		// deadlines the coordinator ratchets as it queries them, and the
+		// reference has neither.
+		var firstAt int64
+		var firstLen int
+		for i, save := range steppers {
+			label := arm.name + "/" + save.name
+			c := start(save.reference)
+			var buf bytes.Buffer
+			var capturedAt, captures int64
+			var hook func(cycle int64) error
+			hook = func(cycle int64) error {
+				captures++
+				if arm.rearmFor >= 0 && captures == 1 {
+					c.SetCheckpointHook(arm.rearmFor, hook)
+					return nil
+				}
+				capturedAt = cycle
+				return c.Checkpoint(&buf)
 			}
-			if rc.Cycle() != capturedAt {
-				t.Fatalf("restore %s->%s: resumed at cycle %d, want %d", save.name, restore.name, rc.Cycle(), capturedAt)
+			c.SetCheckpointHook(arm.at, hook)
+			ckptCompareOutcomes(t, label+" checkpointed run", ckptFinishChip(t, c), want)
+			if capturedAt <= arm.at || capturedAt >= want.cycles {
+				t.Fatalf("%s: hook armed at %d fired at cycle %d of %d", label, arm.at, capturedAt, want.cycles)
 			}
-			got := ckptFinishChip(t, rc)
-			ckptCompareOutcomes(t, save.name+"->"+restore.name+" restored run", got, want)
+			if i == 0 {
+				firstAt, firstLen = capturedAt, buf.Len()
+			} else if capturedAt != firstAt || buf.Len() != firstLen {
+				t.Errorf("%s: captured %d bytes at cycle %d, %s %d bytes at cycle %d",
+					label, buf.Len(), capturedAt, steppers[0].name, firstLen, firstAt)
+			}
+			for _, restore := range steppers {
+				rc, err := RestoreChip(bytes.NewReader(buf.Bytes()), ckptChipConfig(t, restore.reference))
+				if err != nil {
+					t.Fatalf("%s restored under %s: %v", label, restore.name, err)
+				}
+				if rc.Cycle() != capturedAt {
+					t.Fatalf("%s restored under %s: resumed at cycle %d, want %d", label, restore.name, rc.Cycle(), capturedAt)
+				}
+				ckptCompareOutcomes(t, label+" restored under "+restore.name, ckptFinishChip(t, rc), want)
+			}
 		}
-
-		// No-warp restore must also agree (warp telemetry differs by
-		// design; every simulated observable must not).
-		rc, err := RestoreChip(bytes.NewReader(buf.Bytes()), ckptChipConfig(t, save.s, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = ckptFinishChip(t, rc)
-		ckptCompareOutcomes(t, save.name+" nowarp restored run", got, want)
 	}
 }
 
@@ -135,7 +150,7 @@ func TestChipCheckpointRoundTrip(t *testing.T) {
 // different program or configuration must fail with ErrContentHash before
 // any state is touched.
 func TestChipRestoreRejectsMismatch(t *testing.T) {
-	c, err := New(ckptChipConfig(t, StepSeq, false))
+	c, err := New(ckptChipConfig(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +160,7 @@ func TestChipRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := ckptChipConfig(t, StepSeq, false)
+	other := ckptChipConfig(t, false)
 	other.Programs[1] = countProgram(t, 0x200000, 26) // one extra block
 	if _, err := RestoreChip(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, ckpt.ErrContentHash) {
 		t.Fatalf("restore onto a different program: err = %v, want ErrContentHash", err)
@@ -154,7 +169,7 @@ func TestChipRestoreRejectsMismatch(t *testing.T) {
 	// Truncation anywhere in the frame must be a clean error, not a panic.
 	raw := buf.Bytes()
 	for _, cut := range []int{0, 4, len(raw) / 2, len(raw) - 1} {
-		if _, err := RestoreChip(bytes.NewReader(raw[:cut]), ckptChipConfig(t, StepSeq, false)); err == nil {
+		if _, err := RestoreChip(bytes.NewReader(raw[:cut]), ckptChipConfig(t, false)); err == nil {
 			t.Fatalf("restore of %d/%d bytes succeeded", cut, len(raw))
 		}
 	}
@@ -162,7 +177,7 @@ func TestChipRestoreRejectsMismatch(t *testing.T) {
 	// Flipping a payload byte must be caught by the frame checksum.
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	if _, err := RestoreChip(bytes.NewReader(corrupt), ckptChipConfig(t, StepSeq, false)); !errors.Is(err, ckpt.ErrCorrupt) {
+	if _, err := RestoreChip(bytes.NewReader(corrupt), ckptChipConfig(t, false)); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("restore of corrupted frame: err = %v, want ErrCorrupt", err)
 	}
 }

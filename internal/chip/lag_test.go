@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"runtime"
 	"testing"
 
 	"trips/internal/eval"
@@ -51,196 +50,184 @@ func chaseChain(backing *mem.Memory, head uint64, hops int) uint64 {
 	return ptr(0)
 }
 
-// chipScenario builds a chip for one of the parity workloads. The three
-// cover distinct traffic shapes: pure core compute (count), DMA-dominated
-// OCN streaming (dma), and a real benchmark on both cores with L1 misses,
-// dirty evictions and writebacks through the partitioned NUCA (vadd) — the
+// vaddBase[i] is where core i's own code copy sits in the "vadd" scenario.
+var vaddBase = [2]uint64{0x10000, 0x40000}
+
+// vaddSpec is the hand-optimized vadd both cores of that scenario run.
+func vaddSpec(t *testing.T) *workloads.Spec {
+	t.Helper()
+	w, err := workloads.ByName("vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Build(true)
+}
+
+// chipScenario builds a chip for one of the parity workloads. They cover
+// distinct traffic shapes: pure core compute (count), DMA-dominated OCN
+// streaming (dma), cores blocking on one uncached round trip at a time
+// (chase), and a real benchmark on both cores with L1 misses, dirty
+// evictions and writebacks through the partitioned NUCA (vadd) — the
 // eviction path is the one where a response's Done callback submits new
 // OCN work from inside the serial tick, historically the subtlest drain
 // schedule to replay.
 func chipScenario(t *testing.T, name string, mut func(*Config)) *Chip {
 	t.Helper()
+	cfg := Config{Backing: mem.New(), MaxCycles: 10_000_000}
+	setup := func(*Chip) {}
 	switch name {
 	case "count":
-		p0 := countProgram(t, 0x100000, 40)
-		p1 := countProgram(t, 0x200000, 15)
-		cfg := Config{Programs: [2]*proc.Program{p0, p1}, MaxCycles: 5_000_000}
-		mut(&cfg)
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+		cfg.Programs = [2]*proc.Program{countProgram(t, 0x100000, 40), countProgram(t, 0x200000, 15)}
 	case "dma":
 		const bytes = 4 << 10
-		backing := mem.New()
 		for i := 0; i < bytes/8; i++ {
-			backing.Write(0x700000+uint64(i)*8, 8, uint64(i+1))
+			cfg.Backing.Write(0x700000+uint64(i)*8, 8, uint64(i+1))
 		}
-		p0 := countProgram(t, 0x100000, 3)
-		p1 := countProgram(t, 0x200000, 2)
-		cfg := Config{Programs: [2]*proc.Program{p0, p1}, Backing: backing, MaxCycles: 10_000_000}
-		mut(&cfg)
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.DMA[0].Program(0x700000, 0x740000, bytes)
-		return c
+		cfg.Programs = [2]*proc.Program{countProgram(t, 0x100000, 3), countProgram(t, 0x200000, 2)}
+		setup = func(c *Chip) { c.DMA[0].Program(0x700000, 0x740000, bytes) }
 	case "chase":
 		const hops = 24
-		backing := mem.New()
-		head0 := chaseChain(backing, 0x600000, hops)
-		head1 := chaseChain(backing, 0x680000, hops)
-		p0 := chaseProgram(t, 0x100000)
-		p1 := chaseProgram(t, 0x200000)
-		cfg := Config{Programs: [2]*proc.Program{p0, p1}, Backing: backing, MaxCycles: 10_000_000}
-		mut(&cfg)
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		head0 := chaseChain(cfg.Backing, 0x600000, hops)
+		head1 := chaseChain(cfg.Backing, 0x680000, hops)
+		cfg.Programs = [2]*proc.Program{chaseProgram(t, 0x100000), chaseProgram(t, 0x200000)}
+		setup = func(c *Chip) {
+			c.Cores[0].SetRegister(0, 12, head0)
+			c.Cores[1].SetRegister(0, 12, head1)
 		}
-		c.Cores[0].SetRegister(0, 12, head0)
-		c.Cores[1].SetRegister(0, 12, head1)
-		return c
 	case "vadd":
-		w, err := workloads.ByName("vadd")
-		if err != nil {
-			t.Fatal(err)
+		spec := vaddSpec(t)
+		spec.SetupMem(cfg.Backing) // both cores read the same input arrays
+		var metas [2]*tcc.Meta
+		for i, base := range vaddBase {
+			prog, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: tcc.Hand, BaseAddr: base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Programs[i], metas[i] = prog, meta
 		}
-		spec0, spec1 := w.Build(true), w.Build(true)
-		prog0, meta0, err := tcc.Compile(spec0.F, tcc.Options{Mode: tcc.Hand, BaseAddr: 0x10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog1, meta1, err := tcc.Compile(spec1.F, tcc.Options{Mode: tcc.Hand, BaseAddr: 0x40000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		backing := mem.New()
-		spec0.SetupMem(backing)
-		cfg := Config{
-			Programs:  [2]*proc.Program{prog0, prog1},
-			Backing:   backing,
-			Partition: true,
-			MaxCycles: 50_000_000,
-		}
-		mut(&cfg)
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, val := range spec0.Init {
-			if gr, ok := meta0.RegOf[v]; ok {
-				c.Cores[0].SetRegister(0, gr, val)
+		cfg.Partition = true
+		cfg.MaxCycles = 50_000_000
+		setup = func(c *Chip) {
+			for i, meta := range metas {
+				for v, val := range spec.Init {
+					if gr, ok := meta.RegOf[v]; ok {
+						c.Cores[i].SetRegister(0, gr, val)
+					}
+				}
 			}
 		}
-		for v, val := range spec1.Init {
-			if gr, ok := meta1.RegOf[v]; ok {
-				c.Cores[1].SetRegister(0, gr, val)
-			}
-		}
-		return c
+	default:
+		t.Fatalf("unknown scenario %q", name)
 	}
-	t.Fatalf("unknown scenario %q", name)
-	return nil
+	mut(&cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup(c)
+	return c
 }
 
+// chipOutcome is everything the production stepper and the reference must
+// agree on at the end of a run, a failed one included: the error text and
+// the cycle it fired at are part of the contract.
 type chipOutcome struct {
 	cycles int64
 	r0, r1 proc.Result
 	moved  uint64
+	err    string
 }
 
-func runScenario(t *testing.T, scenario string, mut func(*Config)) chipOutcome {
-	t.Helper()
-	c := chipScenario(t, scenario, mut)
+func finish(c *Chip) chipOutcome {
+	out := chipOutcome{}
 	if err := c.Run(); err != nil {
-		t.Fatal(err)
+		out.err = err.Error()
 	}
-	return chipOutcome{
-		cycles: c.Cycle(),
-		r0:     c.Cores[0].Result(),
-		r1:     c.Cores[1].Result(),
-		moved:  c.DMA[0].Moved + c.DMA[1].Moved,
+	out.cycles = c.Cycle()
+	out.r0, out.r1 = c.Cores[0].Result(), c.Cores[1].Result()
+	out.moved = c.DMA[0].Moved + c.DMA[1].Moved
+	return out
+}
+
+func reference(cfg *Config) { cfg.Reference = true }
+func production(*Config)    {}
+
+// runReference runs a scenario to completion on the reference: the outcome
+// every production run of the same scenario is compared against.
+func runReference(t *testing.T, scenario string) chipOutcome {
+	t.Helper()
+	want := finish(chipScenario(t, scenario, reference))
+	if want.err != "" {
+		t.Fatalf("reference: %s", want.err)
+	}
+	return want
+}
+
+// checkTileAccounting holds the per-tile telemetry identity on both steppers
+// — every tile-cycle of a stepped cycle is either ticked or skipped — and the
+// two facts that tell them apart: the reference skips and warps nothing, the
+// production stepper must have skipped something or its gating is dead.
+func checkTileAccounting(t *testing.T, prod, ref *Chip) {
+	t.Helper()
+	for _, c := range []*Chip{prod, ref} {
+		ticks, skips, stepped := c.TileActivity()
+		if got, want := ticks+skips, uint64(proc.NumTiles)*uint64(stepped); got != want {
+			t.Errorf("reference=%v: ticks+skips = %d, want %d (%d tiles x %d stepped cycles)",
+				c.cfg.Reference, got, want, proc.NumTiles, stepped)
+		}
+	}
+	if _, skips, _ := prod.TileActivity(); skips == 0 {
+		t.Error("production run skipped no tile ticks — the active gate and doze overlay never engaged")
+	}
+	if _, skips, _ := ref.TileActivity(); skips != 0 || ref.Warps != 0 || ref.Lag.TotalStrides() != 0 {
+		t.Errorf("reference skipped %d tile ticks, warped %d times, strode %d times; it must visit everything",
+			skips, ref.Warps, ref.Lag.TotalStrides())
+	}
+	for i, core := range ref.Cores {
+		if core != nil && core.Warps != 0 {
+			t.Errorf("reference core %d warped %d times", i, core.Warps)
+		}
 	}
 }
 
-// TestChipSteppingThreeWayBitIdentical is the tentpole's ground-truth sweep:
-// the globally synchronous stepper, the bounded-lag coordinator without
-// warps, and the bounded-lag coordinator with per-core warping must produce
-// identical simulated outcomes on every traffic shape — chip cycles, full
-// core snapshots, and DMA byte counts. The nodoze legs repeat the sweep's
-// endpoints with the per-tile event-driven doze overlay disabled, making the
-// fine-grained tile clocks a fourth compared discipline.
+// TestChipSteppingThreeWayBitIdentical is the chip's parity suite: on every
+// traffic shape the production stepper (bounded-lag coordinator over gated,
+// dozing, warping cores) must produce the reference's outcome — chip cycles,
+// full core snapshots, and DMA byte counts. (The name predates the collapse
+// of the stepping matrix to these two.) The DMA phase is nearly all
+// solo-transit or SDRAM-deadline time, so there the memory-domain warps must
+// cover the bulk of the run.
 func TestChipSteppingThreeWayBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
 	for _, scenario := range []string{"count", "dma", "chase", "vadd"} {
 		t.Run(scenario, func(t *testing.T) {
-			ref := runScenario(t, scenario, func(cfg *Config) {
-				cfg.Stepping = StepSeq
-				cfg.NoWarp = true
-				cfg.NoParallel = true
-			})
-			for _, m := range []struct {
-				name string
-				mut  func(*Config)
-			}{
-				{"seq+warp", func(cfg *Config) { cfg.Stepping = StepSeq }},
-				{"seq+nodoze", func(cfg *Config) {
-					cfg.Stepping = StepSeq
-					cfg.NoWarp = true
-					cfg.NoParallel = true
-					cfg.NoEventDriven = true
-				}},
-				{"lag+nowarp", func(cfg *Config) { cfg.NoWarp = true }},
-				{"lag+warp", func(cfg *Config) {}},
-				{"lag+warp+serial", func(cfg *Config) { cfg.NoParallel = true }},
-				{"lag+warp+nodoze", func(cfg *Config) { cfg.NoEventDriven = true }},
-			} {
-				got := runScenario(t, scenario, m.mut)
-				if got != ref {
-					t.Errorf("%s diverged:\n  got:  %+v\n  want: %+v", m.name, got, ref)
-				}
+			ref := chipScenario(t, scenario, reference)
+			prod := chipScenario(t, scenario, production)
+			want, got := finish(ref), finish(prod)
+			if want.err != "" {
+				t.Fatalf("reference: %s", want.err)
+			}
+			if got != want {
+				t.Errorf("production diverged:\n  got:  %+v\n  want: %+v", got, want)
+			}
+			checkTileAccounting(t, prod, ref)
+			if scenario == "dma" && prod.WarpedCycles*2 < prod.Cycle() {
+				t.Errorf("warps covered only %d of %d cycles — DMA transit legs are not warping", prod.WarpedCycles, prod.Cycle())
 			}
 		})
-	}
-}
-
-// TestChipLagGOMAXPROCSParity proves host worker count never changes
-// simulated results: the same bounded-lag chip run at GOMAXPROCS 1 (which
-// collapses to serial striding), 2, and 4 must be bit-identical.
-func TestChipLagGOMAXPROCSParity(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "vadd", func(cfg *Config) {})
-	for _, procs := range []int{2, 4} {
-		runtime.GOMAXPROCS(procs)
-		if got := runScenario(t, "vadd", func(cfg *Config) {}); got != ref {
-			t.Errorf("GOMAXPROCS=%d diverged:\n  got:  %+v\n  want: %+v", procs, got, ref)
-		}
 	}
 }
 
 // TestChipLagRollbackInjectionBitIdentical disables the provable horizon via
 // the fault-injection override, letting quiescent cores warp past their
 // visibility bound so early-arriving responses trigger real rollbacks — and
-// requires the rolled-back runs to remain bit-identical to the sequential
-// stepper. The chase workload is the one shape where this is reachable:
+// requires the rolled-back runs to remain bit-identical to the reference. The chase workload is the one shape where this is reachable:
 // cores block on every hop, so the overshoot past a response's effect cycle
 // is pure warp, which the coordinator can cheaply rewind. With the derived
 // horizon rollbacks are structurally impossible, which the zero-rollback
 // assertion on the normal run cross-checks.
 func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "chase", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
-	normal := chipScenario(t, "chase", func(cfg *Config) {})
+	want := runReference(t, "chase")
+	normal := chipScenario(t, "chase", production)
 	if err := normal.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,17 +237,8 @@ func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
 	faulted := chipScenario(t, "chase", func(cfg *Config) {
 		cfg.LagHorizonOverride = 64
 	})
-	if err := faulted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := chipOutcome{
-		cycles: faulted.Cycle(),
-		r0:     faulted.Cores[0].Result(),
-		r1:     faulted.Cores[1].Result(),
-		moved:  faulted.DMA[0].Moved + faulted.DMA[1].Moved,
-	}
-	if got != ref {
-		t.Errorf("faulted run diverged:\n  got:  %+v\n  want: %+v", got, ref)
+	if got := finish(faulted); got != want {
+		t.Errorf("faulted run diverged:\n  got:  %+v\n  want: %+v", got, want)
 	}
 	if faulted.Lag.TotalRollbacks() == 0 {
 		t.Errorf("horizon override 64 never triggered a rollback — fault injection is dead")
@@ -271,31 +249,16 @@ func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
 // deadlines themselves: LagDeadlinePad stretches every computed deadline
 // past the provable bound, so a core blocked on a pointer-chase load warps
 // beyond the true effect cycle and the effect gate must roll it back. The
-// run must stay bit-identical to the sequential stepper — rollback recovery,
+// run must stay bit-identical to the reference — rollback recovery,
 // not just rollback detection — and the unpadded run must keep rollbacks at
 // zero, pinning that the deadlines themselves never overshoot.
 func TestChipLagDeadlinePadRollbackBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	ref := runScenario(t, "chase", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
+	want := runReference(t, "chase")
 	faulted := chipScenario(t, "chase", func(cfg *Config) {
 		cfg.LagDeadlinePad = 64
 	})
-	if err := faulted.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := chipOutcome{
-		cycles: faulted.Cycle(),
-		r0:     faulted.Cores[0].Result(),
-		r1:     faulted.Cores[1].Result(),
-		moved:  faulted.DMA[0].Moved + faulted.DMA[1].Moved,
-	}
-	if got != ref {
-		t.Errorf("deadline-padded run diverged:\n  got:  %+v\n  want: %+v", got, ref)
+	if got := finish(faulted); got != want {
+		t.Errorf("deadline-padded run diverged:\n  got:  %+v\n  want: %+v", got, want)
 	}
 	if faulted.Lag.TotalRollbacks() == 0 {
 		t.Errorf("deadline pad 64 never triggered a rollback — fault injection is dead")
@@ -307,7 +270,7 @@ func TestChipLagDeadlinePadRollbackBitIdentical(t *testing.T) {
 // OCN round trips must end strides at computed response deadlines (not
 // one-cycle lockstep) and must do so without a single rollback.
 func TestChipLagDeadlineCountersPopulated(t *testing.T) {
-	c := chipScenario(t, "chase", func(cfg *Config) {})
+	c := chipScenario(t, "chase", production)
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +294,6 @@ func TestChipLagDeadlineCountersPopulated(t *testing.T) {
 // effect-gate rewind must invoke the hook with a sane (from > effect) pair,
 // and the hook count must match the coordinator's rollback telemetry.
 func TestChipRollbackHookObserves(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
 	c := chipScenario(t, "chase", func(cfg *Config) {
 		cfg.LagHorizonOverride = 64
 	})
@@ -356,69 +317,118 @@ func TestChipRollbackHookObserves(t *testing.T) {
 	}
 }
 
-// TestChipLagLimitBoundaryParity sweeps MaxCycles across the completion
-// boundary and requires the sequential and bounded-lag steppers to agree on
-// outcome (success vs limit error) and final cycle at every limit.
-func TestChipLagLimitBoundaryParity(t *testing.T) {
-	base := chipScenario(t, "count", func(cfg *Config) {
-		cfg.Stepping = StepSeq
-		cfg.NoWarp = true
-		cfg.NoParallel = true
-	})
-	if err := base.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n := base.Cycle()
+// sweepLimitBoundary sweeps MaxCycles from three below the scenario's
+// completion step to one above it and requires the production stepper and
+// the reference to agree on everything at every limit: success or limit
+// error, the error's text, the cycle it fired at, and both cores' results. A
+// chip finishing its last step during cycle `limit` (final Cycle() ==
+// limit+1) must succeed; one needing more must fail. The production stepper
+// clamps every stride, warp and catch-up to the limit, so it lands on exactly
+// the boundary cycle the reference steps to. check, when non-nil, sees each
+// pair of finished chips.
+func sweepLimitBoundary(t *testing.T, scenario string, check func(t *testing.T, prod, ref *Chip)) {
+	t.Helper()
+	n := runReference(t, scenario).cycles // the final step ran at cycle n-1
 	for lim := n - 3; lim <= n+1; lim++ {
-		lim := lim
-		cs := chipScenario(t, "count", func(cfg *Config) {
-			cfg.Stepping = StepSeq
-			cfg.MaxCycles = lim
-		})
-		errS := cs.Run()
-		cl := chipScenario(t, "count", func(cfg *Config) {
-			cfg.MaxCycles = lim
-		})
-		errL := cl.Run()
-		if (errS == nil) != (errL == nil) || cs.Cycle() != cl.Cycle() {
-			t.Errorf("limit=%d: seq cyc=%d err=%v | lag cyc=%d err=%v",
-				lim, cs.Cycle(), errS, cl.Cycle(), errL)
+		ref := chipScenario(t, scenario, func(cfg *Config) { cfg.Reference, cfg.MaxCycles = true, lim })
+		prod := chipScenario(t, scenario, func(cfg *Config) { cfg.MaxCycles = lim })
+		want, got := finish(ref), finish(prod)
+		if got != want {
+			t.Errorf("limit=%d: production diverged:\n  got:  %+v\n  want: %+v", lim, got, want)
 			continue
 		}
-		if errS != nil && errL != nil && errS.Error() != errL.Error() {
-			t.Errorf("limit=%d: error wording differs: %q vs %q", lim, errS, errL)
+		if wantOK := lim >= n-1; (want.err == "") != wantOK {
+			t.Errorf("limit=%d (completion step at %d): err=%q, want success=%v", lim, n-1, want.err, wantOK)
+		}
+		if check != nil {
+			check(t, prod, ref)
 		}
 	}
 }
 
-// TestChipLagVaddMatchesGolden anchors the bounded-lag chip against the
-// golden interpreter directly: bit-identity between steppers proves nothing
-// if both drift from correct outputs together.
-func TestChipLagVaddMatchesGolden(t *testing.T) {
-	w, err := workloads.ByName("vadd")
+// TestChipLagLimitBoundaryParity is the boundary sweep on two compute-bound
+// cores of different lengths: the coordinator's free-run strides are bounded
+// by the limit alone there.
+func TestChipLagLimitBoundaryParity(t *testing.T) {
+	sweepLimitBoundary(t, "count", nil)
+}
+
+// boundaryScenarios are the two shapes the warp and doze sweeps cover: a DMA
+// stream outliving both cores (memory-domain warps and an all-idle tile
+// array at the limit) and the cores alone.
+var boundaryScenarios = []struct{ name, scenario string }{{"dma", "dma"}, {"cores", "count"}}
+
+// TestChipLimitBoundaryWarpParity: a warp landing on the clamped horizon
+// must leave the step at that cycle to run, and at every limit each core's
+// clock must be fully accounted for — every cycle it advanced was either
+// stepped or warped, on the reference all of them stepped.
+func TestChipLimitBoundaryWarpParity(t *testing.T) {
+	for _, sc := range boundaryScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			sweepLimitBoundary(t, sc.scenario, func(t *testing.T, prod, ref *Chip) {
+				for _, c := range []*Chip{prod, ref} {
+					for i, core := range c.Cores {
+						if got := core.SteppedCycles + core.WarpedCycles; got != core.Cycle() {
+							t.Errorf("reference=%v core %d: stepped %d + warped %d = %d cycles, clock reads %d",
+								c.cfg.Reference, i, core.SteppedCycles, core.WarpedCycles, got, core.Cycle())
+						}
+					}
+				}
+				if ref.Warps != 0 || ref.Cores[0].Warps != 0 || ref.Cores[1].Warps != 0 {
+					t.Error("reference warped")
+				}
+			})
+		})
+	}
+}
+
+// TestChipLimitBoundaryDozeParity: a tile skipped at the limit cycle must
+// not change where the limit error fires or whether the final step completes
+// the program, and the tile accounting must close at every limit.
+func TestChipLimitBoundaryDozeParity(t *testing.T) {
+	for _, sc := range boundaryScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			sweepLimitBoundary(t, sc.scenario, checkTileAccounting)
+		})
+	}
+}
+
+// vaddMatchesGolden runs the dual-core vadd scenario — each core with its
+// own code copy, private L1s and a private half of the partitioned NUCA L2,
+// sharing only the SDRAM — and holds both cores' outputs to the golden
+// interpreter: bit-identity between the steppers proves nothing if both
+// drift from correct outputs together.
+func vaddMatchesGolden(t *testing.T, stepper func(*Config)) {
+	t.Helper()
+	spec := vaddSpec(t)
+	gold, _, _, err := eval.RunGolden(vaddSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gold, _, _, err := eval.RunGolden(w.Build(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := w.Build(true)
-	_, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: tcc.Hand, BaseAddr: 0x10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := chipScenario(t, "vadd", func(cfg *Config) {})
+	c := chipScenario(t, "vadd", stepper)
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, out := range spec.Outputs {
-		gr, ok := meta.RegOf[out]
-		if !ok {
-			t.Fatalf("output r%d untracked", out)
+	for i, base := range vaddBase {
+		_, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: tcc.Hand, BaseAddr: base})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := c.Cores[0].Register(0, gr); got != gold[out] {
-			t.Errorf("bounded-lag core 0: r%d = %d, golden %d", out, got, gold[out])
+		for _, out := range spec.Outputs {
+			gr, ok := meta.RegOf[out]
+			if !ok {
+				t.Fatalf("core %d: output r%d untracked", i, out)
+			}
+			if got := c.Cores[i].Register(0, gr); got != gold[out] {
+				t.Errorf("core %d: r%d = %d, golden %d", i, out, got, gold[out])
+			}
+		}
+		if c.Cores[i].Result().CommittedBlocks == 0 {
+			t.Errorf("core %d committed no blocks", i)
 		}
 	}
 }
+
+// TestChipLagVaddMatchesGolden anchors the production stepper to the golden
+// interpreter; TestDualCoreWorkloads anchors the reference.
+func TestChipLagVaddMatchesGolden(t *testing.T) { vaddMatchesGolden(t, production) }

@@ -26,11 +26,17 @@ type trips struct {
 	sys  *nuca.System
 	flm  *proc.FixedLatencyMem
 	lat  int
-	lag  bool
+	// external: the run loop ticks the NUCA, not the core (sys != nil).
+	external bool
 }
 
-// buildTRIPS compiles spec and assembles the machine RunTRIPS would run.
-func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
+// buildTRIPS compiles spec and assembles the machine. external selects who
+// ticks a NUCA backend: the run loop after each core step — the bounded-lag
+// coordinator in production, core-then-memory lockstep on the reference — or
+// the core itself from inside Step, which RunSampled's Core.Run pass and
+// interval replays use. It has no meaning on the perfect L2, which the core
+// always ticks.
+func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions, external bool) (*trips, error) {
 	prog, meta, err := tcc.Compile(spec.F, tcc.Options{Mode: opt.Mode, Placement: opt.Placement})
 	if err != nil {
 		return nil, fmt.Errorf("eval: compile %s: %w", spec.F.Name, err)
@@ -46,15 +52,16 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 	if lat == 0 {
 		lat = 20
 	}
-	t := &trips{name: spec.F.Name, prog: prog, meta: meta, m: m, lat: lat}
-	t.lag = opt.UseNUCA && !opt.SeqStep
+	t := &trips{name: spec.F.Name, prog: prog, meta: meta, m: m, lat: lat, external: external && opt.UseNUCA}
 	var backend proc.MemBackend
 	if opt.UseNUCA {
 		t.sys = nuca.New(nuca.Config{Backing: m, Trace: opt.Trace, Metrics: opt.Metrics})
-		if t.lag {
-			// Bounded-lag stepping needs every port tagged with the single
-			// core's owner id so the staged-submission gate and the effect
-			// gate see its traffic.
+		if t.external {
+			// Every port carries the single core's owner id: the coordinator's
+			// staged-submission and effect gates see its traffic through it,
+			// and the memory system keeps its response-deadline book — which
+			// checkpoint frames carry — only for owned ports, so the reference
+			// needs them too for its frames to resume under the coordinator.
 			t.sys.AssignOwners(func(string) int { return 0 })
 		}
 		backend = t.sys
@@ -69,10 +76,8 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 		OPNChannels:       opt.OPNChannels,
 		ConservativeLoads: opt.ConservativeLoads,
 		SlowOPNRouter:     opt.SlowOPNRouter,
-		NoFastPath:        opt.NoFastPath,
-		NoWarp:            opt.NoWarp,
-		NoEventDriven:     opt.NoEventDriven,
-		ExternalMemTick:   t.lag,
+		Reference:         opt.Reference,
+		ExternalMemTick:   t.external,
 		MaxCycles:         opt.MaxCycles,
 		Trace:             opt.Trace,
 		Metrics:           opt.Metrics,
@@ -93,10 +98,9 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*trips, error) {
 }
 
 // hash binds a checkpoint to the exact program image and the configuration
-// knobs that shape simulated behavior. Stepping discipline (SeqStep,
-// ParStride, NoFastPath, NoWarp, NoEventDriven) is deliberately excluded:
-// all disciplines are bit-identical by construction, so a checkpoint taken
-// under one may be restored under another.
+// knobs that shape simulated behavior. Reference is deliberately excluded:
+// the reference and the production stepping are bit-identical by
+// construction, so a checkpoint taken under one restores under the other.
 func (t *trips) hash(opt TRIPSOptions) ckpt.Hash {
 	cfg := fmt.Sprintf("eval:%s mode=%v placement=%v opn=%d conservative=%v slowopn=%v memlat=%d nuca=%v",
 		t.name, opt.Mode, opt.Placement, opt.OPNChannels, opt.ConservativeLoads,
@@ -208,11 +212,10 @@ type SampledResult struct {
 // fresh machine and re-simulates exactly one interval, yielding per-interval
 // IPC without a second serial pass. workers <= 0 means GOMAXPROCS.
 //
-// The machines run on the sequential core/memory interleave regardless of
-// opt.SeqStep: every stepping discipline is bit-identical by construction,
-// and the sequential one both supports re-arming the commit hook and lets a
-// restored interval be driven cycle-by-cycle. A program that retires before
-// `warmup` yields Samples of length zero.
+// The machines are driven by the core's own loop (Core.Run ticking its
+// backend) rather than the bounded-lag coordinator: the two are bit-identical
+// by construction, and a restored interval has to be driven cycle-by-cycle.
+// A program that retires before `warmup` yields Samples of length zero.
 func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, maxSamples, workers int) (*SampledResult, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("eval: sampled %s: interval must be positive, got %d", spec.F.Name, interval)
@@ -232,14 +235,13 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 	if opt.Flight != nil {
 		return nil, fmt.Errorf("eval: sampled %s: the flight recorder and SimPoint sampling both own the commit hook; use one", spec.F.Name)
 	}
-	opt.SeqStep = true
 	opt.CheckpointAt = 0
 	// A Tracer/Sampler is single-goroutine; the interval machines run
 	// concurrently, so observability stays on the profiling pass only.
 	intervalOpt := opt
 	intervalOpt.Trace, intervalOpt.Metrics = nil, nil
 
-	ref, err := buildTRIPS(spec, opt)
+	ref, err := buildTRIPS(spec, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +315,7 @@ func RunSampled(spec *workloads.Spec, opt TRIPSOptions, warmup, interval int64, 
 // runInterval restores one checkpoint into a fresh machine and steps it for
 // one interval (or until the program retires).
 func runInterval(spec *workloads.Spec, opt TRIPSOptions, payload []byte, interval int64) (SampleInterval, error) {
-	t, err := buildTRIPS(spec, opt)
+	t, err := buildTRIPS(spec, opt, false)
 	if err != nil {
 		return SampleInterval{}, err
 	}

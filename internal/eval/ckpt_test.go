@@ -3,18 +3,20 @@ package eval
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"testing"
 
 	"trips/internal/ckpt"
+	"trips/internal/proc"
 	"trips/internal/workloads"
 )
 
 // ckptCompare requires two runs to agree on every simulated observable.
 // Warps/WarpedCycles and Lag are host-side telemetry and differ by design
-// across stepping disciplines and phase seams; Mem and Crit are excluded
+// between the steppers and across phase seams; Mem and Crit are excluded
 // (Mem is a live pointer, Crit is empty without the analyzer).
 func ckptCompare(t *testing.T, label string, got, want *TRIPSResult) {
 	t.Helper()
@@ -42,7 +44,8 @@ func ckptCompare(t *testing.T, label string, got, want *TRIPSResult) {
 }
 
 // roundTrip runs spec uninterrupted, then with a mid-run checkpoint, then
-// restored from that checkpoint, and requires all three outcomes identical.
+// restored from that checkpoint — under the stepper that took it and under
+// the other one — and requires all four outcomes identical.
 func roundTrip(t *testing.T, spec *workloads.Spec, opt TRIPSOptions, label string) {
 	t.Helper()
 	want, err := RunTRIPS(spec, opt)
@@ -66,28 +69,27 @@ func roundTrip(t *testing.T, spec *workloads.Spec, opt TRIPSOptions, label strin
 		t.Fatalf("%s: no checkpoint captured (last commit before cycle %d?)", label, ckOpt.CheckpointAt)
 	}
 
-	rsOpt := opt
-	rsOpt.RestoreFrom = bytes.NewReader(buf.Bytes())
-	restored, err := RunTRIPS(spec, rsOpt)
-	if err != nil {
-		t.Fatalf("%s restored: %v", label, err)
+	for _, reference := range []bool{opt.Reference, !opt.Reference} {
+		rsOpt := opt
+		rsOpt.Reference = reference
+		rsOpt.RestoreFrom = bytes.NewReader(buf.Bytes())
+		restored, err := RunTRIPS(spec, rsOpt)
+		if err != nil {
+			t.Fatalf("%s restored (reference=%v): %v", label, reference, err)
+		}
+		ckptCompare(t, fmt.Sprintf("%s restored run (reference=%v)", label, reference), restored, want)
 	}
-	ckptCompare(t, label+" restored run", restored, want)
 }
 
-// ckptMatrix is the stepping/warp matrix the acceptance criteria call for:
-// sequential vs bounded-lag (NUCA) and warp vs no-warp, plus the perfect-L2
-// backend.
+// ckptMatrix is both backends under both steppers.
 var ckptMatrix = []struct {
 	name string
 	opt  TRIPSOptions
 }{
 	{"l2", TRIPSOptions{}},
-	{"l2-nowarp", TRIPSOptions{NoWarp: true}},
-	{"nuca-seq", TRIPSOptions{UseNUCA: true, SeqStep: true}},
-	{"nuca-seq-nowarp", TRIPSOptions{UseNUCA: true, SeqStep: true, NoWarp: true}},
-	{"nuca-lag", TRIPSOptions{UseNUCA: true}},
-	{"nuca-lag-nowarp", TRIPSOptions{UseNUCA: true, NoWarp: true}},
+	{"l2-reference", TRIPSOptions{Reference: true}},
+	{"nuca", TRIPSOptions{UseNUCA: true}},
+	{"nuca-reference", TRIPSOptions{UseNUCA: true, Reference: true}},
 }
 
 // TestCheckpointRoundTrip covers a representative workload subset in the
@@ -127,9 +129,7 @@ func TestCheckpointRoundTripFuzzed(t *testing.T) {
 		}
 		opt := TRIPSOptions{
 			UseNUCA:           rng.Intn(2) == 0,
-			SeqStep:           rng.Intn(2) == 0,
-			NoWarp:            rng.Intn(2) == 0,
-			NoFastPath:        rng.Intn(4) == 0,
+			Reference:         rng.Intn(2) == 0,
 			OPNChannels:       1 + rng.Intn(2),
 			ConservativeLoads: rng.Intn(2) == 0,
 		}
@@ -162,6 +162,73 @@ func TestCheckpointRoundTripFuzzed(t *testing.T) {
 			t.Fatalf("%s (at=%d) restore: %v", label, at, err)
 		}
 		ckptCompare(t, label+" restored", restored, want)
+	}
+}
+
+// TestCheckpointArmCyclesMatchReference arms the core's checkpoint hook at
+// the edges of its domain — cycle 0, and a cycle already passed (re-armed
+// from inside the first capture for an earlier cycle) — and requires
+// Core.RunLagCheckpointed to capture exactly where the reference's lockstep
+// loop does: at the first commit, and at the commit right after the re-arm. The
+// coordinator once read "park at cycle 0" as "no stop" and fired the hook at
+// the end of the run.
+func TestCheckpointArmCyclesMatchReference(t *testing.T) {
+	w, err := workloads.ByName("vadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := TRIPSOptions{UseNUCA: true}
+	for _, arm := range []struct {
+		name     string
+		at       int64
+		rearmFor int64 // >= 0: re-arm from inside the first capture for this cycle
+	}{
+		{"cycle 0", 0, -1},
+		{"cycle already passed", 1000, 5},
+	} {
+		type capture struct {
+			cycle int64
+			bytes int
+		}
+		var got [2][]capture
+		var end [2]int64
+		for i, reference := range []bool{false, true} {
+			o := opt
+			o.Reference = reference
+			m, err := buildTRIPS(w.Build(true), o, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hook func(cycle int64) error
+			hook = func(cycle int64) error {
+				pw := &ckpt.Writer{}
+				if err := m.save(pw); err != nil {
+					return err
+				}
+				got[i] = append(got[i], capture{cycle, pw.Len()})
+				if arm.rearmFor >= 0 && len(got[i]) == 1 {
+					m.core.SetCheckpointHook(arm.rearmFor, hook)
+				}
+				return nil
+			}
+			m.core.SetCheckpointHook(arm.at, hook)
+			var res proc.Result
+			if reference {
+				res, err = m.core.RunLockstep(m.sys)
+			} else {
+				res, err = m.core.RunLagCheckpointed(m.sys, 0, nil)
+			}
+			if err != nil {
+				t.Fatalf("%s (reference=%v): %v", arm.name, reference, err)
+			}
+			end[i] = res.Cycles
+		}
+		if len(got[1]) == 0 || got[1][len(got[1])-1].cycle >= end[1] {
+			t.Fatalf("%s: reference captures %v in a %d-cycle run", arm.name, got[1], end[1])
+		}
+		if !reflect.DeepEqual(got[0], got[1]) || end[0] != end[1] {
+			t.Errorf("%s: production captured %v in %d cycles, reference %v in %d", arm.name, got[0], end[0], got[1], end[1])
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"trips/internal/chip"
@@ -66,91 +68,75 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestFastPathBitIdentical is the tentpole invariant, checked four ways:
-// full stepping (NoFastPath — every tile ticked every cycle, as the
-// original loop did), the quiescence-aware fast paths with both warping and
-// the per-tile doze overlay disabled, the fast paths with doze but no warp,
-// and everything on (doze plus clock-warping over quiescent stretches).
-// All four may change host time only: cycles, stats, critical path and
-// architectural registers must match exactly.
-func TestFastPathBitIdentical(t *testing.T) {
-	variants := []struct {
-		name string
-		opt  TRIPSOptions
-	}{
-		{"full", TRIPSOptions{NoFastPath: true}},
-		{"fastpath", TRIPSOptions{NoWarp: true, NoEventDriven: true}},
-		{"fastpath+doze", TRIPSOptions{NoWarp: true}},
-		{"fastpath+doze+warp", TRIPSOptions{}},
+// parity runs one workload under the reference and under the production
+// stepping with otherwise equal options and requires every simulated
+// observable to match: cycles, committed work, flushes, the critical-path
+// report, all tile stats, the NUCA counters and the architectural registers.
+// The steppers may differ in host time only — and in the telemetry that says
+// how they stepped, which is checked for what it must show: the tile
+// accounting identity on both, nothing skipped, warped or strode on the
+// reference, something skipped in production.
+func parity(t *testing.T, label string, w workloads.Workload, hand bool, opt TRIPSOptions) {
+	t.Helper()
+	run := func(reference bool) *TRIPSResult {
+		o := opt
+		o.Reference = reference
+		res, err := RunTRIPS(w.Build(hand), o)
+		if err != nil {
+			t.Fatalf("%s (reference=%v): %v", label, reference, err)
+		}
+		if got, want := res.TileTicks+res.TileSkips, uint64(proc.NumTiles)*uint64(res.SteppedCycles); got != want {
+			t.Errorf("%s (reference=%v): ticks+skips = %d, want %d (%d tiles x %d stepped cycles)",
+				label, reference, got, want, proc.NumTiles, res.SteppedCycles)
+		}
+		return res
 	}
+	ref, prod := run(true), run(false)
+	if a, b := summarize(ref), summarize(prod); a != b {
+		t.Errorf("%s: production diverged from the reference:\n  reference:  %+v\n  production: %+v", label, a, b)
+	}
+	if !reflect.DeepEqual(prod.Regs, ref.Regs) {
+		t.Errorf("%s: final registers diverge:\n  reference:  %v\n  production: %v", label, ref.Regs, prod.Regs)
+	}
+	if !reflect.DeepEqual(prod.NUCA, ref.NUCA) {
+		t.Errorf("%s: NUCA counters diverge:\n  reference:  %+v\n  production: %+v", label, ref.NUCA, prod.NUCA)
+	}
+	if ref.TileSkips != 0 || ref.Warps != 0 || ref.Lag != nil {
+		t.Errorf("%s: reference skipped %d tile ticks, warped %d times, lag stats %v; it must visit everything",
+			label, ref.TileSkips, ref.Warps, ref.Lag)
+	}
+	if prod.TileSkips == 0 {
+		t.Errorf("%s: production skipped no tile ticks — the active gate and doze overlay never engaged", label)
+	}
+}
+
+// TestFastPathBitIdentical is the core's parity suite on the perfect L2:
+// the production stepping (active gate, doze, clock warp) against the
+// reference on every microbenchmark in both compilation modes, with the
+// critical-path analyzer on.
+func TestFastPathBitIdentical(t *testing.T) {
 	for _, name := range microNames {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []tcc.Mode{tcc.Hand, tcc.Compiled} {
-			hand := mode == tcc.Hand
-			var ref *TRIPSResult
-			for _, v := range variants {
-				opt := v.opt
-				opt.Mode = mode
-				opt.TrackCritPath = true
-				res, err := RunTRIPS(w.Build(hand), opt)
-				if err != nil {
-					t.Fatalf("%s (%s): %v", name, v.name, err)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if a, b := summarize(ref), summarize(res); a != b {
-					t.Errorf("%s (mode %v): %s diverged from full stepping:\n  full: %+v\n  %s: %+v",
-						name, mode, v.name, a, v.name, b)
-				}
-				for reg, val := range ref.Regs {
-					if res.Regs[reg] != val {
-						t.Errorf("%s (mode %v): r%d = %d full, %d %s", name, mode, reg, val, res.Regs[reg], v.name)
-					}
-				}
-			}
+			parity(t, fmt.Sprintf("%s (mode %v)", name, mode), w, mode == tcc.Hand,
+				TRIPSOptions{Mode: mode, TrackCritPath: true})
 		}
 	}
 }
 
-// TestNUCAFastPathBitIdentical repeats the four-way check behind the full
-// NUCA secondary memory system, where the core's warp and doze decisions
-// must also respect OCN deadlines delivered from outside Core.Step.
+// TestNUCAFastPathBitIdentical repeats the check behind the full NUCA
+// secondary memory system, where the core's warp and doze decisions must
+// also respect OCN deadlines delivered from outside Core.Step, and the
+// bounded-lag coordinator replaces the core-drives-memory lockstep.
 func TestNUCAFastPathBitIdentical(t *testing.T) {
 	w, err := workloads.ByName("vadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref *TRIPSResult
-	for _, v := range []struct {
-		name string
-		opt  TRIPSOptions
-	}{
-		{"full", TRIPSOptions{NoFastPath: true}},
-		{"fastpath", TRIPSOptions{NoWarp: true, NoEventDriven: true}},
-		{"fastpath+doze", TRIPSOptions{NoWarp: true}},
-		{"fastpath+doze+warp", TRIPSOptions{}},
-	} {
-		opt := v.opt
-		opt.Mode = tcc.Hand
-		opt.UseNUCA = true
-		opt.TrackCritPath = true
-		res, err := RunTRIPS(w.Build(true), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if a, b := summarize(ref), summarize(res); a != b {
-			t.Errorf("NUCA %s diverged:\n  full: %+v\n  %s: %+v", v.name, a, v.name, b)
-		}
-	}
+	parity(t, "vadd on the NUCA", w, true, TRIPSOptions{Mode: tcc.Hand, UseNUCA: true, TrackCritPath: true})
 }
 
 // chipRun executes one workload under the full chip loop (core behind the

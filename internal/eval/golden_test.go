@@ -101,7 +101,7 @@ func TestCheckpointBytesMatchParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildTRIPS(w.Build(g.Hand), opt)
+		m, err := buildTRIPS(w.Build(g.Hand), opt, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestCheckpointBytesMatchParent(t *testing.T) {
 // machine with.
 func frameHash(t *testing.T, spec *workloads.Spec, opt TRIPSOptions) ckpt.Hash {
 	t.Helper()
-	m, err := buildTRIPS(spec, opt)
+	m, err := buildTRIPS(spec, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}

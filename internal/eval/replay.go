@@ -7,6 +7,7 @@ import (
 	"trips/internal/ckpt"
 	"trips/internal/flight"
 	"trips/internal/obs"
+	"trips/internal/proc"
 	"trips/internal/workloads"
 )
 
@@ -49,11 +50,12 @@ type ReplayResult struct {
 // interest with full tracing enabled — at zero cost to the original run,
 // which may have executed with no tracer at all. The machine identity comes
 // from the bundle manifest; the checkpoint's content hash is re-verified on
-// restore exactly as tsim -restore does. Stepping is the sequential
-// interleave (bit-identical to every other discipline by construction), so
-// the replayed window matches the same simulated region of any other run
-// of this configuration event-for-event (message trace ids aside — see
-// flight.NormalizeFlowIDs).
+// restore exactly as tsim -restore does. The replay steps the reference
+// (bit-identical to the production stepping by construction), so the
+// replayed window matches the same simulated region of any other run of
+// this configuration event-for-event (message trace ids aside — see
+// flight.NormalizeFlowIDs) — and trips-debug replay/diff cross-check every
+// bundle against the oracle.
 func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	meta := b.Manifest.Meta
 	bench := meta["bench"]
@@ -72,11 +74,11 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	if ro.TrackCritPath && !ro.FromStart {
 		return nil, fmt.Errorf("eval: critical-path replay must run from the start (-from-start): checkpoints do not carry critical-path events")
 	}
-	opt.SeqStep = true
+	opt.Reference = true
 	opt.TrackCritPath = ro.TrackCritPath
 	tracer := obs.NewTracer(ro.TracerCap)
 	opt.Trace = tracer
-	t, err := buildTRIPS(spec, opt)
+	t, err := buildTRIPS(spec, opt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +108,6 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 	if ro.ToCycle > 0 && ro.ToCycle <= t.core.Cycle() {
 		return nil, fmt.Errorf("eval: replay target cycle %d is not after the restore point %d", ro.ToCycle, t.core.Cycle())
 	}
-	const limit = 200_000_000
 	for !t.core.Done() {
 		if ro.ToCycle > 0 && t.core.Cycle() >= ro.ToCycle {
 			break
@@ -114,10 +115,13 @@ func ReplayBundle(b *flight.Bundle, ro ReplayOptions) (*ReplayResult, error) {
 		if ro.ToBlock > 0 && t.core.CommittedBlocks >= ro.ToBlock {
 			break
 		}
-		if t.core.Cycle() > limit {
-			return nil, fmt.Errorf("eval: replay: cycle limit %d exceeded", int64(limit))
+		if t.core.Cycle() > proc.DefaultMaxCycles {
+			return nil, fmt.Errorf("eval: replay: cycle limit %d exceeded", proc.DefaultMaxCycles)
 		}
 		t.core.Step()
+		if t.external {
+			t.sys.Tick()
+		}
 	}
 	if t.core.Done() {
 		// Mirror a real run's epilogue: the cache flush and NUCA drain emit

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"trips/internal/flight"
 	"trips/internal/obs"
 	"trips/internal/tcc"
 	"trips/internal/workloads"
@@ -47,6 +48,21 @@ func TestTraceBitIdentity(t *testing.T) {
 		}
 		if traced.Trace.Total() == 0 {
 			t.Errorf("nuca=%v: traced run emitted no events", useNUCA)
+		}
+
+		// The reference must emit the same trace, event for event: skipped
+		// ticks and warped cycles are exactly the ones with nothing to emit.
+		oracle := base
+		oracle.Reference = true
+		oracle.Trace = obs.NewTracer(0)
+		if _, err := RunTRIPS(w.Build(true), oracle); err != nil {
+			t.Fatal(err)
+		}
+		if traced.Trace.Dropped() != 0 || oracle.Trace.Dropped() != 0 {
+			t.Fatalf("nuca=%v: ring dropped events; the comparison needs both full traces", useNUCA)
+		}
+		if d := flight.Compare(oracle.Trace.Events(), traced.Trace.Events()); d != nil {
+			t.Errorf("nuca=%v: production trace diverges from the reference's: %s", useNUCA, d.Reason)
 		}
 
 		// Armed flight recorder: rolling checkpoints and the bounded window

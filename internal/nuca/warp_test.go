@@ -11,8 +11,8 @@ import (
 // TestSystemWarpParityOnRoundTrip drives one cold read — port injection,
 // request transit, SDRAM access, multi-flit response transit — under two
 // clocking disciplines: ticking every cycle, and warping to each drain
-// deadline the way Core.Run/Chip.tryWarp do (jump to NextEventCycle-1 when
-// Quiet, then tick). The completion cycle, returned data, and every counter
+// deadline the way Core.Run and the bounded-lag coordinator do (jump to
+// NextEventCycle-1 when Quiet, then tick). The completion cycle, returned data, and every counter
 // must match, and the warped run must skip most of the round trip.
 func TestSystemWarpParityOnRoundTrip(t *testing.T) {
 	run := func(warp bool) (total, ticked, warped int64, data []byte, s *System) {

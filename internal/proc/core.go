@@ -14,6 +14,10 @@ import (
 // shared sentinel; see micronet.MinHorizon for the fold helpers).
 const horizonNever = micronet.HorizonNever
 
+// DefaultMaxCycles is the cycle limit of a run whose configuration leaves
+// MaxCycles (or LagConfig.Limit) at zero.
+const DefaultMaxCycles int64 = 200_000_000
+
 // haltAddr is the conventional halt target: a block whose committed exit
 // branches to address 0 halts its thread.
 const haltAddr = 0
@@ -38,7 +42,7 @@ type Config struct {
 	// (Section 5.3: "increasing the latency in cycles would have a
 	// significant effect on instruction throughput").
 	SlowOPNRouter bool
-	// MaxCycles bounds the simulation (0 = default bound).
+	// MaxCycles bounds the simulation (0 = DefaultMaxCycles).
 	MaxCycles int64
 	// TraceCommits logs every commit and flush (debugging aid).
 	TraceCommits bool
@@ -50,28 +54,12 @@ type Config struct {
 	// completion, commit command, commit acknowledgment) — the data behind
 	// paper Figure 5b.
 	RecordTimeline bool
-	// NoFastPath disables the quiescence-aware stepping fast paths and
-	// ticks every tile every cycle, the original full-scan discipline. The
-	// fast paths are bit-identical by construction; this flag exists so the
-	// determinism regression tests can prove it on every workload.
-	NoFastPath bool
-	// NoWarp disables clock warping: Run visits every cycle even when the
-	// core is provably quiescent until a scheduled event. Warped runs are
-	// bit-identical by construction (only no-op cycles are skipped, and the
-	// skipped ticks' counter effects are replayed exactly); the flag exists
-	// for the three-way A/B determinism tests, mirroring NoFastPath.
-	// NoFastPath implies NoWarp: the full-scan baseline never warps.
-	NoWarp bool
-	// NoEventDriven disables per-tile doze scheduling: with it set, every
-	// active tile ticks every cycle (the prior discipline), instead
-	// of tiles whose remaining work is provably deadline-held (an ET waiting
-	// out its pipeline latencies, a DT waiting out cache-hit latency, the GT
-	// in a warpIdle state) skipping ticks until their wake cycle. Event-driven
-	// stepping is bit-identical by construction — a dozing tile's skipped
-	// ticks are exactly ticks that would have been no-ops — and the flag
-	// exists for the A/B determinism suites, mirroring NoWarp. NoFastPath
-	// implies NoEventDriven: the full-scan baseline never dozes.
-	NoEventDriven bool
+	// Reference selects the naive oracle instead of the production stepping:
+	// Step ticks every tile every cycle (no active gate, no doze) and Run
+	// visits every cycle (no warp). Production skips only ticks and cycles
+	// that are provably no-ops, so the two are bit-identical by construction;
+	// the reference exists solely so tests can prove it on every workload.
+	Reference bool
 	// Trace, when non-nil, records block-protocol and operand-network
 	// events into the ring. Tracing never mutates simulated state, so a
 	// traced run's cycle counts are bit-identical to an untraced one.
@@ -160,7 +148,7 @@ type Core struct {
 	TileTicks     uint64
 	TileSkips     uint64
 	SteppedCycles int64
-	// eventDriven caches !NoFastPath && !NoEventDriven: tiles may doze.
+	// eventDriven caches !Reference: tiles may doze.
 	eventDriven bool
 	nonNopCount map[uint64]uint64 // block addr -> useful instruction count
 
@@ -177,10 +165,10 @@ type Core struct {
 	// boundary past ckptAt, then disarms. Nil when no checkpoint is armed.
 	ckptAt int64
 	ckptFn func(cycle int64) error
-	// Rollback hook: forwarded to LagConfig.OnRollback by the RunLag
-	// wrappers so observers (the flight recorder) see effect-gate rewinds.
+	// Rollback hook: forwarded to LagConfig.OnRollback by RunLagCheckpointed
+	// so observers (the flight recorder) see effect-gate rewinds.
 	onRollback func(owner int, from, effect int64)
-	// Fault-injection knobs forwarded to LagConfig by the RunLag wrappers
+	// Fault-injection knobs forwarded to LagConfig by RunLagCheckpointed
 	// (see LagConfig.HorizonOverride/DeadlinePad). Test/debug only.
 	lagHorizonOverride int64
 	lagDeadlinePad     int64
@@ -210,7 +198,7 @@ func NewCore(cfg Config) (*Core, error) {
 		cfg:         cfg,
 		program:     cfg.Program,
 		mem:         cfg.Mem,
-		eventDriven: !cfg.NoFastPath && !cfg.NoEventDriven,
+		eventDriven: !cfg.Reference,
 		nonNopCount: make(map[uint64]uint64),
 		timelineI:   make(map[uint64]int),
 		trace:       cfg.Trace,
@@ -683,11 +671,11 @@ func (c *Core) scheduleDispatch(now int64, slot int, seq uint64, thread int, add
 // itself once provably idle) or when its status chain carries traffic the
 // tile must forward. Skipped ticks are exactly the ticks that would have
 // been no-ops under the original tick-everything loop, so simulated cycle
-// counts and all stats are bit-identical; cfg.NoFastPath restores the full
-// scan for the determinism regression tests.
+// counts and all stats are bit-identical; cfg.Reference restores the full
+// scan as the oracle the parity tests compare against.
 func (c *Core) Step() {
 	now := c.cycle
-	full := c.cfg.NoFastPath
+	full := c.cfg.Reference
 	// Scheduled GDN/GRN deliveries land first.
 	c.runEvents(now)
 	// Route the operand network, then hand deliveries to the tiles.
@@ -1126,15 +1114,25 @@ func (c *Core) drainsIdle() bool {
 
 // Run executes until every thread halts and all committed stores have
 // drained, returning summary statistics.
-func (c *Core) Run() (Result, error) {
+func (c *Core) Run() (Result, error) { return c.run(nil) }
+
+// RunLockstep is Run for a core built with ExternalMemTick: the loop ticks
+// mem after every Step — the core, then the memory system, in program order,
+// the interleave the bounded-lag coordinator is defined to be bit-identical
+// to — and visits every cycle.
+func (c *Core) RunLockstep(mem MemBackend) (Result, error) { return c.run(mem.Tick) }
+
+// run is the loop behind Run and RunLockstep; memTick, when non-nil, follows
+// every Step.
+func (c *Core) run(memTick func()) (Result, error) {
 	limit := c.cfg.MaxCycles
 	if limit == 0 {
-		limit = 200_000_000
+		limit = DefaultMaxCycles
 	}
 	lastCommit := c.cycle
 	lastCount := c.CommittedBlocks
 	eh, hasEH := c.mem.(EventHorizon)
-	warp := hasEH && !c.cfg.NoFastPath && !c.cfg.NoWarp && !c.cfg.ExternalMemTick
+	warp := hasEH && !c.cfg.Reference && !c.cfg.ExternalMemTick
 	for !(c.gt.allRetired() && c.drainsIdle()) {
 		// Quiescent() is checked first: it fails O(1) on the first busy
 		// operand mesh, which is the common case on a loaded core, while
@@ -1169,6 +1167,9 @@ func (c *Core) Run() (Result, error) {
 			return Result{}, fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", limit, c.CommittedBlocks)
 		}
 		c.Step()
+		if memTick != nil {
+			memTick()
+		}
 		if c.CommittedBlocks != lastCount {
 			lastCount = c.CommittedBlocks
 			lastCommit = c.cycle
@@ -1232,15 +1233,15 @@ func (c *Core) SetCheckpointHook(at int64, fn func(cycle int64) error) {
 }
 
 // SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds when
-// this core runs under a RunLag wrapper: owner is the memory-port owner id,
+// this core runs under RunLagCheckpointed: owner is the memory-port owner id,
 // from the cycle the core had run ahead to, effect the rewound-to cycle.
 // Observability only — fn must not touch simulated state.
 func (c *Core) SetRollbackHook(fn func(owner int, from, effect int64)) {
 	c.onRollback = fn
 }
 
-// SetLagFaults sets the bounded-lag fault-injection knobs the RunLag
-// wrappers forward to the coordinator: horizonOverride forces every stride
+// SetLagFaults sets the bounded-lag fault-injection knobs RunLagCheckpointed
+// forwards to the coordinator: horizonOverride forces every stride
 // horizon to G+n, deadlinePad overshoots every response deadline by n
 // cycles (see LagConfig). Both make rollbacks reachable on demand while
 // results stay bit-identical; never set them outside tests or debugging

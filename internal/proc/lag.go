@@ -2,9 +2,7 @@ package proc
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"trips/internal/micronet"
 	"trips/internal/obs"
@@ -51,9 +49,11 @@ import (
 //
 // The coordinator alternates three phases per round: a joint warp when every
 // component is quiescent at the same cycle (the old whole-machine fast
-// path, now one special case), per-core strides (parallel across host
-// threads when enabled), and a serial memory catch-up that ticks the
-// backend to the slowest core's clock.
+// path, now one special case), per-core strides in fixed core order, and a
+// memory catch-up that ticks the backend to the slowest core's clock — all
+// on the caller's thread: a stride averages a couple of cycles on real
+// workloads, so a cross-thread hand-off per round costs more than the round
+// (EXPERIMENTS.md "What the knobs bought, and why they are gone").
 
 // LagMem is the backend contract for bounded-lag stepping: an EventHorizon
 // that additionally exposes its clock, per-owner staging/outstanding
@@ -156,14 +156,11 @@ func (s *LagStats) Summary() string {
 
 // LagConfig parameterizes RunBoundedLag.
 type LagConfig struct {
-	// Limit is the simulated-cycle budget (0 means 200M, matching Run).
+	// Limit is the simulated-cycle budget (0 means DefaultMaxCycles, matching
+	// Run).
 	Limit int64
 	// Watchdog enables Run's per-core 200k-cycle no-commit deadlock check.
 	Watchdog bool
-	// NoWarp disables every clock-warp fast path (strides still apply).
-	NoWarp bool
-	// Parallel strides cores on separate host threads when GOMAXPROCS > 1.
-	Parallel bool
 	// HorizonOverride, when positive, forces every stride horizon to G+n
 	// regardless of outstanding work — a fault-injection hook that makes
 	// horizon violations (and thus rollbacks) reachable for testing.
@@ -176,7 +173,7 @@ type LagConfig struct {
 	DeadlinePad int64
 	// MaxStride, when positive, caps every stride horizon at G+n. Always
 	// safe: shrinking a horizon can never admit an early message; smaller
-	// values trade parallelism for tighter interleaving.
+	// values trade run-ahead for tighter interleaving.
 	MaxStride int64
 	// PreTick runs before each backend tick with the tick index — the chip
 	// hangs its DMA engines here.
@@ -194,13 +191,6 @@ type LagConfig struct {
 	// the rewind and before the response's completion callback, and must
 	// not touch simulated state.
 	OnRollback func(owner int, from, effect int64)
-	// StopAt, when positive, pauses the run at that cycle: every stride,
-	// joint warp, and backend catch-up is clamped so no clock passes it, and
-	// the coordinator returns once every active core and the backend have
-	// reached it. At the pause point core and backend clocks agree — the
-	// lockstep boundary a checkpoint capture needs. Resume by calling
-	// RunBoundedLag again with StopAt 0.
-	StopAt int64
 	// Stats, when non-nil, receives coordinator telemetry.
 	Stats *LagStats
 	// LimitErr formats the cycle-limit error (chip and proc wordings
@@ -217,71 +207,55 @@ const (
 	rsDone
 )
 
-type strideRes struct {
-	len    int64
-	reason int
-}
-
-type strideReq struct {
-	horizon int64
-	// endReason classifies a stride that runs all the way to its horizon:
-	// rsHorizon for a free-run or override cap, rsDeadline for a computed
-	// response deadline, rsQuiesce when that deadline degenerated to
-	// one-cycle lockstep.
-	endReason int
-}
-
 type lagRunner struct {
 	mem   LagMem
 	cores []LagCore
 	cfg   LagConfig
 	limit int64
+	stop  int64 // pause cycle, or NoStop
 	G     int64 // backend clock: index of the next backend tick
 
 	doneCore    []bool
 	lastStepped []int64 // rollback validity: cycles past this were warp-only
 	lastCommit  []int64
 	lastCount   []uint64
-	errs        []error
-	sres        []strideRes
-	ran         []bool
-	horizons    []int64
-	endReasons  []int
 	ownerIdx    map[int]int
 	catchTarget int64
 
 	stats *LagStats
-	par   bool
-	work  []chan strideReq
-	wg    sync.WaitGroup
 }
+
+// NoStop is the RunBoundedLag stop cycle of a run that pauses nowhere.
+const NoStop = horizonNever
 
 // RunBoundedLag drives cores and a shared memory backend to completion
 // under bounded-lag stepping, returning the final backend cycle. It is
 // bit-identical to the sequential interleave (cores step cycle u, then the
 // backend ticks u) for every observable: core cycles, registers, stats, and
 // backend state.
-func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
+//
+// A stop other than NoStop pauses the run at that cycle: every stride, joint
+// warp, and backend catch-up is clamped so no clock passes it, and the
+// coordinator returns once every unfinished core and the backend have
+// reached it — at once when they already have, so a stop at or before the
+// current cycle (0 included) parks the machine where it stands. At the pause
+// point core and backend clocks agree — the lockstep boundary a checkpoint
+// capture needs. Resume by calling RunBoundedLag again.
+func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig, stop int64) (int64, error) {
 	limit := cfg.Limit
 	if limit == 0 {
-		limit = 200_000_000
+		limit = DefaultMaxCycles
 	}
 	n := len(cores)
 	r := &lagRunner{
-		mem: mem, cores: cores, cfg: cfg, limit: limit,
+		mem: mem, cores: cores, cfg: cfg, limit: limit, stop: stop,
 		G:           mem.Cycle(),
 		doneCore:    make([]bool, n),
 		lastStepped: make([]int64, n),
 		lastCommit:  make([]int64, n),
 		lastCount:   make([]uint64, n),
-		errs:        make([]error, n),
-		sres:        make([]strideRes, n),
-		ran:         make([]bool, n),
-		horizons:    make([]int64, n),
-		endReasons:  make([]int, n),
 		ownerIdx:    make(map[int]int, n),
 		stats:       cfg.Stats,
-		par:         cfg.Parallel && runtime.GOMAXPROCS(0) > 1 && n > 1,
 	}
 	if r.stats == nil {
 		r.stats = &LagStats{}
@@ -301,16 +275,12 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 	}
 	mem.SetEffectGate(r.onEffect)
 	defer mem.SetEffectGate(nil)
-	if r.par {
-		r.startWorkers()
-		defer r.stopWorkers()
-	}
 	for {
 		r.refreshDone()
 		if r.allDone() && !r.extraBusy() && r.G >= r.maxCoreCycle() {
 			return r.G, nil
 		}
-		if cfg.StopAt > 0 && r.G >= cfg.StopAt && r.parkedAt(cfg.StopAt) {
+		if r.G >= r.stop && r.parkedAt(r.stop) {
 			return r.G, nil
 		}
 		if r.G > limit {
@@ -320,11 +290,8 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig) (int64, error) {
 			return r.G, fmt.Errorf("bounded-lag: cycle limit %d exceeded", limit)
 		}
 		r.jointWarp()
-		r.strideAll()
-		for k := range r.errs {
-			if r.errs[k] != nil {
-				return r.G, r.errs[k]
-			}
+		if err := r.strideAll(); err != nil {
+			return r.G, err
 		}
 		r.catchUp()
 	}
@@ -381,7 +348,7 @@ func (r *lagRunner) canWarpExtra() bool {
 // all clocks jump together to the earliest scheduled event, exactly like
 // the sequential warp gate.
 func (r *lagRunner) jointWarp() {
-	if r.cfg.NoWarp || r.allDone() || !r.canWarpExtra() {
+	if r.allDone() || !r.canWarpExtra() {
 		return
 	}
 	h := horizonNever
@@ -402,8 +369,8 @@ func (r *lagRunner) jointWarp() {
 	if h > r.limit {
 		h = r.limit
 	}
-	if r.cfg.StopAt > 0 && h > r.cfg.StopAt {
-		h = r.cfg.StopAt
+	if h > r.stop {
+		h = r.stop
 	}
 	if r.cfg.Watchdog {
 		for k := range r.cores {
@@ -433,23 +400,23 @@ func (r *lagRunner) jointWarp() {
 	r.G = h
 }
 
-// strideAll advances every active core up to its horizon for this round,
-// in parallel across host threads when enabled. Strides are independent by
-// construction — each worker touches only its own core, its own owner's
-// staging counters, and per-core coordinator slots — so worker scheduling
-// cannot change simulated results.
-func (r *lagRunner) strideAll() {
-	active := 0
+// strideAll advances every active core, in fixed core order, up to its
+// horizon for this round. Strides are independent by construction — each
+// touches only its own core, its own owner's staging counters, and per-core
+// coordinator slots, and a horizon reads only that owner's backend state —
+// so the order cannot change simulated results.
+func (r *lagRunner) strideAll() error {
+	active := false
 	for k := range r.cores {
-		r.ran[k] = false
 		if r.doneCore[k] {
 			continue
 		}
-		active++
-		var req strideReq
+		active = true
+		var horizon int64
+		endReason := rsHorizon
 		switch {
 		case r.cfg.HorizonOverride > 0:
-			req.horizon = r.G + r.cfg.HorizonOverride
+			horizon = r.G + r.cfg.HorizonOverride
 		case r.cores[k].Owner >= 0 && r.mem.OutstandingFor(r.cores[k].Owner) > 0:
 			// Outstanding memory work: stride to the earliest cycle any of
 			// its responses can dispatch at the core's port. The deadline is
@@ -470,71 +437,47 @@ func (r *lagRunner) strideAll() {
 			if d <= r.G {
 				d = r.G + 1
 			}
-			req.horizon = d
-			req.endReason = rsDeadline
+			horizon = d
+			endReason = rsDeadline
 			if d == r.G+1 {
-				req.endReason = rsQuiesce
+				endReason = rsQuiesce
 			}
 		default:
 			// No outstanding work: nothing in the memory system can affect
 			// this core before its own next Submit, and the staged-submission
 			// gate ends the stride one cycle after any Submit — so the free
 			// run is bounded only by the limit (and MaxStride if set).
-			req.horizon = r.limit + 1
-			if r.cfg.MaxStride > 0 && req.horizon > r.G+r.cfg.MaxStride {
-				req.horizon = r.G + r.cfg.MaxStride
+			horizon = r.limit + 1
+			if r.cfg.MaxStride > 0 && horizon > r.G+r.cfg.MaxStride {
+				horizon = r.G + r.cfg.MaxStride
 			}
 		}
 		// A core may step the cycle at limit but never past it, matching
 		// the sequential limit checks cycle for cycle.
-		if req.horizon > r.limit+1 {
-			req.horizon = r.limit + 1
+		if horizon > r.limit+1 {
+			horizon = r.limit + 1
 		}
-		if r.cfg.StopAt > 0 && req.horizon > r.cfg.StopAt {
-			req.horizon = r.cfg.StopAt
+		if horizon > r.stop {
+			horizon = r.stop
 		}
-		r.horizons[k] = req.horizon
-		r.endReasons[k] = req.endReason
 		// A core already parked at (or past) its horizon has nothing to do
-		// this round; skip the dispatch so zero-length strides don't dilute
-		// the stride statistics. Progress is still guaranteed: the slowest
-		// active core sits at G and its horizon is always at least G+1.
-		if req.horizon <= r.cores[k].Core.Cycle() {
-			r.ran[k] = false
+		// this round; skip it so zero-length strides don't dilute the stride
+		// statistics. Progress is still guaranteed: the slowest active core
+		// sits at G and its horizon is always at least G+1.
+		start := r.cores[k].Core.Cycle()
+		if horizon <= start {
 			continue
 		}
-		r.ran[k] = true
-	}
-	if active == 0 {
-		return
-	}
-	if r.par && active >= 2 {
-		for k := 1; k < len(r.cores); k++ {
-			if r.ran[k] {
-				r.wg.Add(1)
-				r.work[k] <- strideReq{r.horizons[k], r.endReasons[k]}
-			}
+		reason, err := r.stride(k, horizon, endReason)
+		if err != nil {
+			return err
 		}
-		if r.ran[0] {
-			r.stride(0, r.horizons[0], r.endReasons[0])
-		}
-		r.wg.Wait()
-	} else {
-		for k := range r.cores {
-			if r.ran[k] {
-				r.stride(k, r.horizons[k], r.endReasons[k])
-			}
-		}
-	}
-	for k := range r.cores {
-		if !r.ran[k] {
-			continue
-		}
+		n := r.cores[k].Core.Cycle() - start
 		cs := &r.stats.Core[k]
 		cs.Strides++
-		cs.StrideCycles += r.sres[k].len
-		cs.StrideHist.Add(r.sres[k].len)
-		switch r.sres[k].reason {
+		cs.StrideCycles += n
+		cs.StrideHist.Add(n)
+		switch reason {
 		case rsHorizon:
 			cs.HorizonLimited++
 		case rsDeadline:
@@ -545,23 +488,28 @@ func (r *lagRunner) strideAll() {
 			cs.Backpressure++
 		}
 	}
-	r.stats.Rounds++
+	if active {
+		r.stats.Rounds++
+	}
+	return nil
 }
 
 // stride runs one core forward until it finishes, reaches its horizon, or
-// stages a submission the backend must drain first. Locally quiet stretches
-// are warped per-core — this is where bounded lag beats the global gate:
-// the warp no longer waits for the whole machine to quiesce.
-func (r *lagRunner) stride(k int, horizon int64, endReason int) {
+// stages a submission the backend must drain first, returning why it ended:
+// endReason when it ran all the way to its horizon
+// (rsHorizon for a free-run or override cap, rsDeadline for a computed
+// response deadline, rsQuiesce when that deadline degenerated to one-cycle
+// lockstep). Locally quiet stretches are warped per-core — this is where
+// bounded lag beats the global gate: the warp no longer waits for the whole
+// machine to quiesce.
+func (r *lagRunner) stride(k int, horizon int64, endReason int) (int, error) {
 	c := r.cores[k].Core
 	owner := r.cores[k].Owner
-	start := c.Cycle()
-	res := &r.sres[k]
-	*res = strideRes{reason: endReason}
+	reason := endReason
 	for {
 		t := c.Cycle()
 		if c.Done() {
-			res.reason = rsDone
+			reason = rsDone
 			r.doneCore[k] = true
 			break
 		}
@@ -569,10 +517,10 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) {
 			break
 		}
 		if t > r.G && owner >= 0 && r.mem.StagedFor(owner) > 0 {
-			res.reason = rsBackpressure
+			reason = rsBackpressure
 			break
 		}
-		if !r.cfg.NoWarp && c.Quiescent() {
+		if c.Quiescent() {
 			wt := horizon
 			// Mirror Run's warp clamps so limit and watchdog errors fire
 			// at exactly the cycles a sequential run reports.
@@ -599,12 +547,11 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) {
 				r.lastCount[k] = c.CommittedBlocks
 				r.lastCommit[k] = c.Cycle()
 			} else if c.Cycle()-r.lastCommit[k] > 200_000 {
-				r.errs[k] = fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.Cycle(), c.CommittedBlocks)
-				break
+				return reason, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.Cycle(), c.CommittedBlocks)
 			}
 		}
 	}
-	res.len = c.Cycle() - start
+	return reason, nil
 }
 
 // catchUp ticks the backend serially up to the slowest active core's clock
@@ -629,8 +576,8 @@ func (r *lagRunner) catchUp() {
 			target = r.limit + 1
 		}
 	}
-	if r.cfg.StopAt > 0 && target > r.cfg.StopAt {
-		target = r.cfg.StopAt
+	if target > r.stop {
+		target = r.stop
 	}
 	r.catchTarget = target
 	maxCore := r.maxCoreCycle()
@@ -638,7 +585,7 @@ func (r *lagRunner) catchUp() {
 		if allDone && !r.extraBusy() && r.G >= maxCore {
 			break
 		}
-		if !r.cfg.NoWarp && r.canWarpExtra() && r.mem.Quiet() {
+		if r.canWarpExtra() && r.mem.Quiet() {
 			v := r.catchTarget
 			// With every core finished and no chip-level work left, the run
 			// ends at the last core's cycle — don't warp past it.
@@ -701,41 +648,25 @@ func (r *lagRunner) onEffect(owner int, effect int64) {
 	}
 }
 
-func (r *lagRunner) startWorkers() {
-	r.work = make([]chan strideReq, len(r.cores))
-	for k := 1; k < len(r.cores); k++ {
-		ch := make(chan strideReq)
-		r.work[k] = ch
-		go func(k int, ch chan strideReq) {
-			for req := range ch {
-				r.stride(k, req.horizon, req.endReason)
-				r.wg.Done()
-			}
-		}(k, ch)
-	}
-}
-
-func (r *lagRunner) stopWorkers() {
-	for _, ch := range r.work {
-		if ch != nil {
-			close(ch)
-		}
-	}
-}
-
-// RunLag is the single-core convenience wrapper: it executes the core to
-// completion against a bounded-lag backend with Run's limit and watchdog
-// semantics, returning the same Result and the same error strings.
-// maxStride (0 = auto) caps stride length below the visibility horizon.
-func (c *Core) RunLag(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
-	limit := c.cfg.MaxCycles
-	if limit == 0 {
-		limit = 200_000_000
-	}
+// RunLagCheckpointed executes the core to completion against a bounded-lag
+// backend with Run's limit and watchdog semantics, returning the same Result
+// and the same error strings. maxStride (0 = auto) caps stride length below
+// the visibility horizon. While a checkpoint hook is armed
+// (SetCheckpointHook) it drives the park → lockstep-to-commit → capture
+// loop: the coordinator pauses at the arm cycle (core and backend clocks
+// lockstepped), the pair then steps sequentially until the first block
+// commit — the protocol quiesce point SaveState requires — the hook fires at
+// that boundary, and bounded-lag stepping resumes. The hook may re-arm itself
+// from inside the callback (the same convention Run follows), which is how
+// rolling-checkpoint consumers like the flight recorder capture a whole
+// sequence of frames from one run. The composition is observable-identical
+// to an uninterrupted run: strides replay the sequential interleave exactly,
+// and the lockstep stretch IS the sequential interleave (only the host-side
+// Warps/WarpedCycles telemetry differs).
+func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
 	cfg := LagConfig{
-		Limit:           limit,
+		Limit:           c.cfg.MaxCycles,
 		Watchdog:        true,
-		NoWarp:          c.cfg.NoFastPath || c.cfg.NoWarp,
 		MaxStride:       maxStride,
 		Stats:           stats,
 		OnRollback:      c.onRollback,
@@ -745,58 +676,10 @@ func (c *Core) RunLag(mem LagMem, maxStride int64, stats *LagStats) (Result, err
 			return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", l, c.CommittedBlocks)
 		},
 	}
-	if _, err := RunBoundedLag(mem, []LagCore{{Core: c, Owner: 0}}, cfg); err != nil {
-		return Result{}, err
-	}
-	return c.Result(), nil
-}
-
-// RunLagWithCheckpoint runs like RunLag but captures a checkpoint mid-run:
-// the bounded-lag engine pauses at cycle `at` (core and backend clocks
-// lockstepped), the pair then steps sequentially until the first block
-// commit — the protocol quiesce point SaveState requires — fn fires at that
-// boundary, and bounded-lag stepping resumes. fn may re-arm the hook for a
-// later cycle by calling SetCheckpointHook from inside the callback (the
-// same convention Run follows), which is how rolling-checkpoint consumers
-// like the flight recorder capture a whole sequence of frames from one
-// run. The composition is observable-identical to an uninterrupted RunLag:
-// strides replay the sequential interleave exactly, and the lockstep
-// stretch IS the sequential interleave (only the host-side
-// Warps/WarpedCycles telemetry differs).
-func (c *Core) RunLagWithCheckpoint(mem LagMem, maxStride int64, stats *LagStats, at int64, fn func(cycle int64) error) (Result, error) {
-	c.SetCheckpointHook(at, fn)
-	return c.RunLagCheckpointed(mem, maxStride, stats)
-}
-
-// RunLagCheckpointed drives the park → lockstep-to-commit → capture loop
-// until no checkpoint hook is armed (the hook re-arms itself for rolling
-// captures), then runs bounded-lag to completion. Callers arm the hook via
-// SetCheckpointHook first; with no hook armed it is plain RunLag.
-func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
-	limit := c.cfg.MaxCycles
-	if limit == 0 {
-		limit = 200_000_000
-	}
-	mkCfg := func(stopAt int64) LagConfig {
-		return LagConfig{
-			Limit:           limit,
-			Watchdog:        true,
-			NoWarp:          c.cfg.NoFastPath || c.cfg.NoWarp,
-			MaxStride:       maxStride,
-			StopAt:          stopAt,
-			Stats:           stats,
-			OnRollback:      c.onRollback,
-			HorizonOverride: c.lagHorizonOverride,
-			DeadlinePad:     c.lagDeadlinePad,
-			LimitErr: func(l int64) error {
-				return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", l, c.CommittedBlocks)
-			},
-		}
-	}
 	cores := []LagCore{{Core: c, Owner: 0}}
 	for c.ckptFn != nil {
 		at := c.ckptAt
-		if _, err := RunBoundedLag(mem, cores, mkCfg(at)); err != nil {
+		if _, err := RunBoundedLag(mem, cores, cfg, at); err != nil {
 			return Result{}, err
 		}
 		// Sequential lockstep to the first commit boundary. A finished core
@@ -822,7 +705,7 @@ func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) 
 			break
 		}
 	}
-	if _, err := RunBoundedLag(mem, cores, mkCfg(0)); err != nil {
+	if _, err := RunBoundedLag(mem, cores, cfg, NoStop); err != nil {
 		return Result{}, err
 	}
 	return c.Result(), nil

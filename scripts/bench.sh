@@ -3,8 +3,9 @@
 #
 # Runs the checked-in benchmark suite and refreshes the machine-readable
 # baselines: BENCH_table3.json (per-row Table 3 results + host throughput)
-# and BENCH_chip.json (chip-stepping host-time A/B: bounded-lag vs the
-# sequential stepper on the chip benchmarks, plus derived speedups).
+# and BENCH_chip.json (the chip benchmarks under the production stepper and
+# under the reference, plus derived speedups: reference time / production
+# time at identical simulated cycles).
 #
 #   scripts/bench.sh            quick smoke: Table 3 once + Figure 5b + chip
 #                               benches, JSON refresh
@@ -13,12 +14,6 @@
 #                               checked-in baselines: exits nonzero if any
 #                               simulated cycle count drifted (host-time
 #                               deltas and speedups are informational)
-#   scripts/bench.sh sweep 1 2 4
-#                               GOMAXPROCS scaling sweep: re-runs the chip
-#                               stepping benches pinned to each listed core
-#                               count and records the speedup-vs-cores series
-#                               into BENCH_chip.json (sweep array; the main
-#                               rows are left untouched)
 #
 # The simulated results in both files are deterministic; only the host-time
 # fields (wall_ns, ns_per_op, speedups, ...) vary by machine.
@@ -26,41 +21,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-smoke}"
-
-if [ "$mode" = "sweep" ]; then
-  shift
-  [ $# -gt 0 ] || { echo "usage: scripts/bench.sh sweep <procs>..." >&2; exit 2; }
-  # A sweep point pinned to more GOMAXPROCS than the host has physical
-  # cores measures scheduler thrash, not scaling; refuse rather than record
-  # junk speedups into BENCH_chip.json.
-  cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-  for n in "$@"; do
-    case "$n" in
-      ''|*[!0-9]*) echo "bench.sh: sweep proc count '$n' is not a positive integer" >&2; exit 2 ;;
-    esac
-    [ "$n" -ge 1 ] || { echo "bench.sh: sweep proc count must be >= 1, got $n" >&2; exit 2; }
-    if [ "$n" -gt "$cores" ]; then
-      echo "bench.sh: sweep point $n exceeds the $cores cores this host has;" >&2
-      echo "  an oversubscribed pin would record junk into BENCH_chip.json — refusing" >&2
-      exit 2
-    fi
-  done
-  # The merge stamps host_cpus into BENCH_chip.json so a reader can judge
-  # whether the seq-vs-lag host-time speedups were measured on a host that
-  # can actually run the two cores in parallel. A 1-CPU host can't — warn,
-  # but still record (the simulated cycles stay valid either way).
-  if [ "$cores" -le 1 ]; then
-    echo "bench.sh: WARNING: this host has $cores CPU; seq-vs-lag host-time" >&2
-    echo "  speedups measured here are meaningless (recorded as host_cpus=$cores)" >&2
-  fi
-  for n in "$@"; do
-    echo "== chip stepping benches @ GOMAXPROCS=$n -> BENCH_chip.json sweep (host: $cores CPUs) =="
-    GOMAXPROCS="$n" BENCH_CHIP_SWEEP=1 BENCH_CHIP_JSON="$PWD/BENCH_chip.json" \
-      go test -run '^$' -bench 'ChipDMAStream|NUCAvsPerfectL2' -benchtime=3x
-  done
-  echo "sweep recorded for GOMAXPROCS in: $* (host_cpus=$cores stamped into BENCH_chip.json)"
-  exit 0
-fi
 
 echo "== go vet =="
 go vet ./...
@@ -103,6 +63,9 @@ BENCH_TABLE3_JSON="$PWD/BENCH_table3.json" \
   go test -run '^$' -bench 'Table3$|Figure5bCommitPipeline' -benchtime=1x -benchmem
 
 echo "== chip stepping benches, emitting BENCH_chip.json =="
+# The benches merge their rows into the file; start from none so a retired
+# variant cannot linger in the baseline.
+rm -f BENCH_chip.json
 BENCH_CHIP_JSON="$PWD/BENCH_chip.json" \
   go test -run '^$' -bench 'ChipDMAStream|NUCAvsPerfectL2' -benchtime=20x
 
