@@ -22,7 +22,6 @@ package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +35,6 @@ import (
 	"trips/internal/isa"
 	"trips/internal/mem"
 	"trips/internal/micronet"
-	"trips/internal/obs"
 	"trips/internal/proc"
 )
 
@@ -51,7 +49,6 @@ type options struct {
 	reference  bool
 	useNUCA    bool
 	flightDir  string
-	debugAddr  string
 	cpuprofile string
 	memprofile string
 }
@@ -80,7 +77,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.BoolVar(&o.reference, "reference", false, "run -table3 TRIPS rows on the naive reference stepper instead of the production one (results must not change)")
 	fs.BoolVar(&o.useNUCA, "nuca", false, "run -table3 TRIPS rows against the full secondary memory system instead of the perfect L2")
 	fs.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder on -table3 compiled-TRIPS runs; crash/limit dump bundles land in this directory (inspect with trips-debug)")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -151,20 +147,6 @@ func run(o *options) {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-	if o.debugAddr != "" {
-		expvar.Publish("eval_progress", expvar.Func(func() any {
-			return map[string]int64{
-				"rows_done":  eval.Progress.Rows.Load(),
-				"sim_cycles": eval.Progress.SimCycles.Load(),
-			}
-		}))
-		addr, err := obs.ServeDebug(o.debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trips-eval: debug endpoint on http://%s/debug/vars\n", addr)
 	}
 	if o.all {
 		o.t1, o.t2, o.t3, o.f1, o.f2, o.f3, o.f4, o.f5b, o.f6, o.ablate = true, true, true, true, true, true, true, true, true, true

@@ -7,8 +7,9 @@ import (
 )
 
 // TestFlagSurface drives parseFlags and validate over accepted command
-// lines, every rejected combination, and the retired stepping flags, which
-// must fail as undefined rather than be silently accepted.
+// lines, every rejected combination, and the retired stepping and
+// debug-server flags, which must fail as undefined rather than be silently
+// accepted.
 func TestFlagSurface(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -31,6 +32,7 @@ func TestFlagSurface(t *testing.T) {
 		{"-table3 -noeventdriven", "flag provided but not defined"},
 		{"-table3 -nuca -seq", "flag provided but not defined"},
 		{"-table3 -nuca -par-stride 4", "flag provided but not defined"},
+		{"-table3 -debug-addr localhost:6060", "flag provided but not defined"},
 	} {
 		o, err := parseFlags(strings.Fields(tc.args), io.Discard)
 		if err == nil {

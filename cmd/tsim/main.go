@@ -6,11 +6,11 @@
 //	tsim -list
 //	tsim -bench vadd [-mode hand|tcc] [-placement naive|greedy]
 //	     [-opn 1|2] [-conservative] [-nuca] [-alpha] [-golden]
-//	     [-trace out.json] [-debug-addr :6060]
+//	     [-trace out.json]
 //	     [-checkpoint-at n -checkpoint-out f] [-restore f]
 //	     [-sample-interval n [-sample-warmup n] [-sample-n k]]
 //	     [-flight [-flight-dir d] [-dump-on trig] [-flight-depth k] [-flight-interval n]]
-//	     [-max-cycles n] [-lag-deadline-pad n] [-lag-horizon-override n]
+//	     [-max-cycles n] [-lag-deadline-pad n]
 //	     [-host] [-reference] [-cpuprofile f] [-memprofile f]
 //
 // -checkpoint-at/-checkpoint-out frame the complete machine state at the
@@ -20,12 +20,13 @@
 // across a worker pool. -flight arms the flight recorder: a rolling ring of
 // commit-boundary checkpoints plus a bounded trace window, dumped as a
 // self-describing bundle on panic, cycle-limit overrun or the -dump-on
-// trigger (rollback, end, block=N, cycle=N) for trips-debug to replay. All
-// of these disable the critical-path analyzer (the checkpoint format does not
-// carry its events). -lag-deadline-pad / -lag-horizon-override inject bounded-lag
-// timing faults to exercise the recorder's violation paths. -reference runs
-// the naive oracle instead of the production stepping; every simulated
-// number must come out the same.
+// trigger (end, block=N, cycle=N) for trips-debug to replay. All of these
+// disable the critical-path analyzer (the checkpoint format does not carry
+// its events). -lag-deadline-pad (with -nuca) pads bounded-lag response
+// deadlines past their bound, so the horizon assertion panics and the
+// recorder's violation path can be exercised. -reference runs the naive
+// oracle instead of the production stepping; every simulated number must
+// come out the same.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"trips/internal/critpath"
@@ -49,11 +51,11 @@ import (
 type options struct {
 	list, conserv, useNUCA, alphaRun, goldenRun, stats, host, reference, flightOn bool
 
-	bench, mode, placement, traceOut, debugAddr, ckptOut, restore string
-	flightDir, dumpOn, cpuprofile, memprofile                     string
+	bench, mode, placement, traceOut, ckptOut, restore string
+	flightDir, dumpOn, cpuprofile, memprofile          string
 
-	opn, sampleN, flightDep                                                 int
-	ckptAt, sampleInt, sampleWarm, flightInt, maxCycles, lagPad, lagHorizon int64
+	opn, sampleN, flightDep                                     int
+	ckptAt, sampleInt, sampleWarm, flightInt, maxCycles, lagPad int64
 }
 
 // parseFlags parses args into options, reporting usage and parse errors on
@@ -70,7 +72,6 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.BoolVar(&o.conserv, "conservative", false, "disable aggressive load issue")
 	fs.BoolVar(&o.useNUCA, "nuca", false, "use the NUCA secondary memory system instead of the perfect L2")
 	fs.StringVar(&o.traceOut, "trace", "", "record a protocol trace and write Chrome/Perfetto JSON to this file")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&o.alphaRun, "alpha", false, "also run the Alpha-class baseline")
 	fs.BoolVar(&o.goldenRun, "golden", false, "also run the golden interpreter")
 	fs.BoolVar(&o.stats, "stats", false, "print per-tile statistics")
@@ -86,10 +87,9 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 	fs.StringVar(&o.flightDir, "flight-dir", "flight-dumps", "directory receiving flight-recorder dump bundles")
 	fs.IntVar(&o.flightDep, "flight-depth", 0, "flight recorder: rolling checkpoint ring depth (0 = default)")
 	fs.Int64Var(&o.flightInt, "flight-interval", 0, "flight recorder: cycles between rolling checkpoints (0 = default)")
-	fs.StringVar(&o.dumpOn, "dump-on", "", "flight recorder explicit trigger: rollback, end, block=N, or cycle=N (requires -flight)")
+	fs.StringVar(&o.dumpOn, "dump-on", "", "flight recorder explicit trigger: end, block=N, or cycle=N (requires -flight)")
 	fs.Int64Var(&o.maxCycles, "max-cycles", 0, "cap the simulated run length in cycles (0 = default 200M)")
-	fs.Int64Var(&o.lagPad, "lag-deadline-pad", 0, "fault injection: pad bounded-lag response deadlines by this many cycles (diagnostics; overruns panic)")
-	fs.Int64Var(&o.lagHorizon, "lag-horizon-override", 0, "fault injection: force this bounded-lag stride horizon (diagnostics; overruns panic)")
+	fs.Int64Var(&o.lagPad, "lag-deadline-pad", 0, "fault injection: pad bounded-lag response deadlines by this many cycles (requires -nuca; the horizon assertion panics)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -123,12 +123,16 @@ func (o *options) validate() error {
 		return errors.New("-sample-interval cannot be combined with -checkpoint-out or -restore")
 	case o.dumpOn != "" && !o.flightOn:
 		return errors.New("-dump-on arms a flight-recorder trigger; pass -flight as well")
+	case o.dumpOn != "" && o.dumpOn != "end" && !strings.HasPrefix(o.dumpOn, "block=") && !strings.HasPrefix(o.dumpOn, "cycle="):
+		return fmt.Errorf("unknown -dump-on trigger %q: want end, block=N, or cycle=N", o.dumpOn)
 	case o.flightOn && (o.ckptOut != "" || o.sampleInt > 0):
 		return errors.New("-flight cannot be combined with -checkpoint-out or -sample-interval (both own the commit hook)")
-	case o.maxCycles < 0 || o.lagPad < 0 || o.lagHorizon < 0:
-		return errors.New("-max-cycles, -lag-deadline-pad and -lag-horizon-override must be non-negative")
-	case o.reference && (o.lagPad > 0 || o.lagHorizon > 0 || o.dumpOn == "rollback"):
-		return errors.New("-reference strides nothing, so nothing can roll back: it cannot be combined with -lag-deadline-pad, -lag-horizon-override or -dump-on rollback")
+	case o.maxCycles < 0 || o.lagPad < 0:
+		return errors.New("-max-cycles and -lag-deadline-pad must be non-negative")
+	case o.lagPad > 0 && !o.useNUCA:
+		return errors.New("-lag-deadline-pad pads the bounded-lag coordinator's deadlines, which only -nuca runs have")
+	case o.lagPad > 0 && o.reference:
+		return errors.New("-reference strides nothing, so it has no deadline to pad: it cannot be combined with -lag-deadline-pad")
 	case !o.list && o.bench == "":
 		return errors.New("pass -bench <name> (or -list)")
 	}
@@ -195,7 +199,7 @@ func run(o *options) {
 	// The checkpoint format carries no critical-path events, so checkpoint,
 	// restore, sampling and the flight recorder all run without the analyzer.
 	crit := o.ckptOut == "" && o.restore == "" && o.sampleInt == 0 && !o.flightOn
-	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: o.opn, ConservativeLoads: o.conserv, UseNUCA: o.useNUCA, Reference: o.reference, MaxCycles: o.maxCycles, LagHorizonOverride: o.lagHorizon, LagDeadlinePad: o.lagPad}
+	opt := eval.TRIPSOptions{TrackCritPath: crit, OPNChannels: o.opn, ConservativeLoads: o.conserv, UseNUCA: o.useNUCA, Reference: o.reference, MaxCycles: o.maxCycles, LagDeadlinePad: o.lagPad}
 	var tracer *obs.Tracer
 	var sampler *obs.Sampler
 	if o.traceOut != "" {
@@ -205,17 +209,6 @@ func run(o *options) {
 	if o.traceOut != "" || o.stats || o.flightOn {
 		sampler = obs.NewSampler(0)
 		opt.Metrics = sampler
-	}
-	if o.debugAddr != "" {
-		addr, err := obs.ServeDebug(o.debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tsim: debug endpoint on http://%s/debug/vars\n", addr)
-		if sampler != nil {
-			obs.PublishSampler("tsim", sampler)
-		}
 	}
 	hand := o.mode == "hand"
 	opt.Mode = tcc.Compiled

@@ -7,8 +7,9 @@ import (
 )
 
 // TestFlagSurface drives parseFlags and validate over accepted command
-// lines, every rejected value and combination, and the retired stepping
-// flags, which must fail as undefined rather than be silently accepted.
+// lines, every rejected value and combination, and the retired stepping,
+// fault-injection and debug-server flags, which must fail as undefined
+// rather than be silently accepted.
 func TestFlagSurface(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -18,7 +19,7 @@ func TestFlagSurface(t *testing.T) {
 		{"-bench vadd", ""},
 		{"-bench vadd -nuca -reference -flight -dump-on cycle=1200", ""},
 		{"-bench vadd -reference", ""},
-		{"-bench vadd -nuca -lag-deadline-pad 64 -flight -dump-on rollback", ""},
+		{"-bench vadd -nuca -lag-deadline-pad 64 -flight -flight-interval 50", ""},
 		{"-bench vadd -checkpoint-at 2000 -checkpoint-out f.ckpt", ""},
 		{"", "pass -bench"},
 		{"-bench vadd extra", "unexpected argument"},
@@ -33,9 +34,11 @@ func TestFlagSurface(t *testing.T) {
 		{"-bench vadd -dump-on end", "pass -flight as well"},
 		{"-bench vadd -flight -sample-interval 100", "both own the commit hook"},
 		{"-bench vadd -max-cycles -5", "must be non-negative"},
-		{"-bench vadd -nuca -reference -lag-deadline-pad 64", "-reference strides nothing"},
-		{"-bench vadd -nuca -reference -lag-horizon-override 8", "-reference strides nothing"},
-		{"-bench vadd -nuca -reference -flight -dump-on rollback", "-reference strides nothing"},
+		{"-bench vadd -nuca -reference -lag-deadline-pad 64", "it has no deadline to pad"},
+		{"-bench vadd -lag-deadline-pad 64", "only -nuca runs have"},
+		{"-bench vadd -nuca -flight -dump-on rollback", "unknown -dump-on trigger"},
+		{"-bench vadd -nuca -lag-horizon-override 8", "flag provided but not defined"},
+		{"-bench vadd -debug-addr localhost:6060", "flag provided but not defined"},
 		{"-bench vadd -nofastpath", "flag provided but not defined"},
 		{"-bench vadd -nowarp", "flag provided but not defined"},
 		{"-bench vadd -noeventdriven", "flag provided but not defined"},

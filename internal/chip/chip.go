@@ -36,14 +36,11 @@ type Config struct {
 	// bit-identical for every observable; the reference exists solely so
 	// tests can compare the production stepper against it.
 	Reference bool
-	// LagHorizonOverride is a test-only fault-injection hook: when
-	// positive, bounded-lag strides use G+n as their horizon instead of
-	// the provably safe bounds, making rollbacks reachable.
-	LagHorizonOverride int64
 	// LagDeadlinePad is a test-only fault-injection hook: when positive,
 	// every computed response deadline is padded by n cycles past the
-	// provable bound, so cores waiting on memory overshoot the true effect
-	// cycle and exercise the rollback path.
+	// provable bound, so a core waiting on memory overshoots the true effect
+	// cycle and the effect gate panics (see proc.LagConfig.DeadlinePad).
+	// The reference strides nothing and ignores it.
 	LagDeadlinePad int64
 	// Trace holds one optional tracer per core.
 	Trace [2]*obs.Tracer
@@ -73,7 +70,7 @@ type Chip struct {
 	WarpedCycles int64
 
 	// Lag holds the bounded-lag coordinator's telemetry (stride lengths,
-	// stall reasons, rollbacks); zero on the reference.
+	// stall reasons); zero on the reference.
 	Lag proc.LagStats
 
 	// Checkpoint hook: ckptFn fires once at the first chip cycle past
@@ -82,9 +79,6 @@ type Chip struct {
 	// commit boundary first.
 	ckptAt int64
 	ckptFn func(cycle int64) error
-	// Rollback hook: forwarded to LagConfig.OnRollback so observers (the
-	// flight recorder) see effect-gate rewinds.
-	onRollback func(owner int, from, effect int64)
 }
 
 // SetCheckpointHook arms fn to run once at the first block-commit boundary
@@ -94,14 +88,6 @@ type Chip struct {
 func (c *Chip) SetCheckpointHook(at int64, fn func(cycle int64) error) {
 	c.ckptAt = at
 	c.ckptFn = fn
-}
-
-// SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds: owner
-// is the memory-port owner id (core index), from the cycle the core had run
-// ahead to, effect the rewound-to cycle. Observability only — fn must not
-// touch simulated state.
-func (c *Chip) SetRollbackHook(fn func(owner int, from, effect int64)) {
-	c.onRollback = fn
 }
 
 // committedBlocks sums block commits across the active cores.
@@ -178,10 +164,8 @@ func New(cfg Config) (*Chip, error) {
 		sm.Register("dma.completions", func() int64 {
 			return int64(c.DMA[0].Completions + c.DMA[1].Completions)
 		})
-		// Bounded-lag coordinator series: a bad horizon bound shows up here
-		// as a rollback storm instead of a silent slowdown.
+		// Bounded-lag coordinator series.
 		sm.Register("lag.strides", func() int64 { return int64(c.Lag.TotalStrides()) })
-		sm.Register("lag.rollbacks", func() int64 { return int64(c.Lag.TotalRollbacks()) })
 		sm.Register("lag.horizon_stalls", func() int64 {
 			var n uint64
 			for i := range c.Lag.Core {
@@ -347,10 +331,8 @@ func (c *Chip) runLagPhase(stopAt int64) error {
 	preWarps := c.Lag.JointWarps + c.Lag.MemWarps
 	preWarped := c.Lag.JointWarpedCycles + c.Lag.MemWarpedCycles
 	g, err := proc.RunBoundedLag(c.Mem, cores, proc.LagConfig{
-		Limit:           c.cfg.MaxCycles,
-		HorizonOverride: c.cfg.LagHorizonOverride,
-		DeadlinePad:     c.cfg.LagDeadlinePad,
-		OnRollback:      c.onRollback,
+		Limit:       c.cfg.MaxCycles,
+		DeadlinePad: c.cfg.LagDeadlinePad,
 		PreTick: func(int64) {
 			for _, d := range c.DMA {
 				d.tick()

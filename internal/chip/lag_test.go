@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"fmt"
 	"testing"
 
 	"trips/internal/eval"
@@ -17,8 +18,8 @@ import (
 // issue the next, and the one-block footprint means the I-cache is warm
 // after the first iteration — so in steady state the core has exactly one
 // transaction outstanding at a time and is quiescent while it waits. That
-// blocking-wait shape is what makes warp-overshoot (and therefore rollback
-// under fault injection) reachable.
+// blocking-wait shape is what makes a warp-only overshoot past a padded
+// deadline reachable.
 func chaseProgram(t *testing.T, base uint64) *proc.Program {
 	t.Helper()
 	b := &isa.Block{Addr: base, Name: "chase"}
@@ -217,58 +218,42 @@ func TestChipSteppingThreeWayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChipLagRollbackInjectionBitIdentical disables the provable horizon via
-// the fault-injection override, letting quiescent cores warp past their
-// visibility bound so early-arriving responses trigger real rollbacks — and
-// requires the rolled-back runs to remain bit-identical to the reference. The chase workload is the one shape where this is reachable:
-// cores block on every hop, so the overshoot past a response's effect cycle
-// is pure warp, which the coordinator can cheaply rewind. With the derived
-// horizon rollbacks are structurally impossible, which the zero-rollback
-// assertion on the normal run cross-checks.
-func TestChipLagRollbackInjectionBitIdentical(t *testing.T) {
-	want := runReference(t, "chase")
-	normal := chipScenario(t, "chase", production)
-	if err := normal.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := normal.Lag.TotalRollbacks(); n != 0 {
-		t.Fatalf("derived horizon produced %d rollbacks — the bound no longer proves safety", n)
-	}
-	faulted := chipScenario(t, "chase", func(cfg *Config) {
-		cfg.LagHorizonOverride = 64
-	})
-	if got := finish(faulted); got != want {
-		t.Errorf("faulted run diverged:\n  got:  %+v\n  want: %+v", got, want)
-	}
-	if faulted.Lag.TotalRollbacks() == 0 {
-		t.Errorf("horizon override 64 never triggered a rollback — fault injection is dead")
-	}
-}
-
-// TestChipLagDeadlinePadRollbackBitIdentical fault-injects the response
-// deadlines themselves: LagDeadlinePad stretches every computed deadline
-// past the provable bound, so a core blocked on a pointer-chase load warps
-// beyond the true effect cycle and the effect gate must roll it back. The
-// run must stay bit-identical to the reference — rollback recovery,
-// not just rollback detection — and the unpadded run must keep rollbacks at
-// zero, pinning that the deadlines themselves never overshoot.
-func TestChipLagDeadlinePadRollbackBitIdentical(t *testing.T) {
-	want := runReference(t, "chase")
-	faulted := chipScenario(t, "chase", func(cfg *Config) {
-		cfg.LagDeadlinePad = 64
-	})
-	if got := finish(faulted); got != want {
-		t.Errorf("deadline-padded run diverged:\n  got:  %+v\n  want: %+v", got, want)
-	}
-	if faulted.Lag.TotalRollbacks() == 0 {
-		t.Errorf("deadline pad 64 never triggered a rollback — fault injection is dead")
+// TestChipLagDeadlinePadPanics fault-injects the response deadlines:
+// LagDeadlinePad stretches every computed deadline past its provable bound,
+// so a chase core blocked on its load warps beyond the response's true
+// effect cycle. That warp-only overshoot is the shape a rollback used to
+// repair silently; the effect gate now asserts instead, so production must
+// die with a horizon violation at the named effect cycle. The reference
+// strides nothing, so the same configuration there still equals the
+// unpadded reference run.
+func TestChipLagDeadlinePadPanics(t *testing.T) {
+	padded := func(cfg *Config) { cfg.LagDeadlinePad = 64 }
+	const want = "proc: bounded-lag horizon violated: response effective at cycle 91 but core 0 is already at cycle 145"
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("deadline pad 64 did not trip the horizon assertion — fault injection is dead")
+			}
+			if msg := fmt.Sprint(r); msg != want {
+				t.Errorf("panic %q, want %q", msg, want)
+			}
+		}()
+		_ = chipScenario(t, "chase", padded).Run()
+	}()
+	ref := finish(chipScenario(t, "chase", func(cfg *Config) {
+		padded(cfg)
+		reference(cfg)
+	}))
+	if gold := runReference(t, "chase"); ref != gold {
+		t.Errorf("padded reference diverged:\n  got:  %+v\n  want: %+v", ref, gold)
 	}
 }
 
 // TestChipLagDeadlineCountersPopulated runs the memory-bound chase normally
 // and requires the deadline-stride telemetry to be live: a core blocking on
 // OCN round trips must end strides at computed response deadlines (not
-// one-cycle lockstep) and must do so without a single rollback.
+// one-cycle lockstep).
 func TestChipLagDeadlineCountersPopulated(t *testing.T) {
 	c := chipScenario(t, "chase", production)
 	if err := c.Run(); err != nil {
@@ -283,37 +268,6 @@ func TestChipLagDeadlineCountersPopulated(t *testing.T) {
 	}
 	if c.Lag.TotalStrides() == 0 {
 		t.Errorf("chase run recorded no strides")
-	}
-	if n := c.Lag.TotalRollbacks(); n != 0 {
-		t.Errorf("derived deadlines produced %d rollbacks — a bound overshoots", n)
-	}
-}
-
-// TestChipRollbackHookObserves pins the OnRollback observability hook the
-// flight recorder hangs on: under horizon-override fault injection every
-// effect-gate rewind must invoke the hook with a sane (from > effect) pair,
-// and the hook count must match the coordinator's rollback telemetry.
-func TestChipRollbackHookObserves(t *testing.T) {
-	c := chipScenario(t, "chase", func(cfg *Config) {
-		cfg.LagHorizonOverride = 64
-	})
-	var fired uint64
-	c.SetRollbackHook(func(owner int, from, effect int64) {
-		fired++
-		if from <= effect {
-			t.Errorf("rollback hook: from %d <= effect %d", from, effect)
-		}
-		if owner != 0 && owner != 1 {
-			t.Errorf("rollback hook: bogus owner %d", owner)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := c.Lag.TotalRollbacks(); n == 0 {
-		t.Fatalf("horizon override produced no rollbacks — cannot exercise the hook")
-	} else if fired != n {
-		t.Errorf("rollback hook fired %d times, coordinator counted %d", fired, n)
 	}
 }
 

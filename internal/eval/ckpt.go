@@ -90,8 +90,8 @@ func buildTRIPS(spec *workloads.Spec, opt TRIPSOptions, external bool) (*trips, 
 			core.SetRegister(0, gr, val)
 		}
 	}
-	if opt.LagHorizonOverride > 0 || opt.LagDeadlinePad > 0 {
-		core.SetLagFaults(opt.LagHorizonOverride, opt.LagDeadlinePad)
+	if opt.LagDeadlinePad > 0 {
+		core.SetLagFaults(opt.LagDeadlinePad)
 	}
 	t.core = core
 	return t, nil

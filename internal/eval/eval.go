@@ -63,21 +63,20 @@ type TRIPSOptions struct {
 	RestoreFrom io.Reader
 	// Flight, when non-nil, arms the flight recorder: a rolling ring of
 	// block-commit checkpoints plus a bounded trace window, dumped as a
-	// self-describing bundle on panic, cycle-limit overrun, bounded-lag
-	// rollback, or the configured DumpOn trigger. Incompatible with
-	// TrackCritPath and with explicit CheckpointTo.
+	// self-describing bundle on panic (a bounded-lag horizon violation
+	// included), cycle-limit overrun, or the configured DumpOn trigger.
+	// Incompatible with TrackCritPath and with explicit CheckpointTo.
 	Flight *FlightOptions
 	// MaxCycles caps the run's simulated length (0 = proc.DefaultMaxCycles).
 	// A run that reaches the cap fails with a cycle-limit error —
 	// which, with the flight recorder armed, dumps a bundle on the way out.
 	MaxCycles int64
-	// LagHorizonOverride / LagDeadlinePad are bounded-lag fault-injection
-	// knobs (see proc.LagConfig): they make rollbacks reachable on demand
-	// while results stay bit-identical. Debug/test only — they exist so a
-	// tsim walkthrough can force the rollback path and watch the flight
-	// recorder catch it.
-	LagHorizonOverride int64
-	LagDeadlinePad     int64
+	// LagDeadlinePad is the bounded-lag fault injector (see
+	// proc.LagConfig.DeadlinePad): it pads every response deadline past
+	// its provable bound, so the effect gate's horizon assertion panics.
+	// Debug/test only — it exists so a tsim walkthrough can trip the
+	// assertion and watch the flight recorder catch it.
+	LagDeadlinePad int64
 }
 
 // TRIPSResult is one TRIPS run's outcome.
@@ -108,7 +107,7 @@ type TRIPSResult struct {
 	// NUCA carries the secondary memory system's counters when UseNUCA.
 	NUCA *nuca.StatsReport
 	// Lag carries bounded-lag coordinator telemetry (stride histogram,
-	// stall reasons, rollbacks) when the run used bounded-lag stepping.
+	// stall reasons) when the run used bounded-lag stepping.
 	Lag *proc.LagStats
 	// FlightDumps lists dump-bundle directories the flight recorder wrote
 	// during the run (nil when the recorder was off or never triggered).
@@ -175,7 +174,6 @@ func RunTRIPS(spec *workloads.Spec, opt TRIPSOptions) (*TRIPSResult, error) {
 		lagStats = &proc.LagStats{}
 		if sm := opt.Metrics; sm != nil {
 			sm.Register("lag.strides", func() int64 { return int64(lagStats.TotalStrides()) })
-			sm.Register("lag.rollbacks", func() int64 { return int64(lagStats.TotalRollbacks()) })
 			sm.Register("lag.deadline_strides", func() int64 {
 				var n uint64
 				for i := range lagStats.Core {

@@ -22,11 +22,11 @@ type FlightOptions struct {
 	Depth     int
 	Interval  int64
 	WindowCap int
-	// DumpOn is an explicit trigger: "" (none), "rollback" (first
-	// bounded-lag effect-gate rewind), "end" (successful completion),
-	// "block=N" (first commit boundary with >= N blocks committed), or
-	// "cycle=N" (first commit boundary at or past cycle N). Panics and
-	// cycle-limit overruns always dump while the recorder is armed.
+	// DumpOn is an explicit trigger: "" (none), "end" (successful
+	// completion), "block=N" (first commit boundary with >= N blocks
+	// committed), or "cycle=N" (first commit boundary at or past cycle N).
+	// Panics and cycle-limit overruns always dump while the recorder is
+	// armed.
 	DumpOn string
 	// Tool names the producing binary in the manifest.
 	Tool string
@@ -48,9 +48,7 @@ type flightRun struct {
 	trigCycle int64  // dump-on cycle=N
 	trigBlock uint64 // dump-on block=N
 	dumpEnd   bool
-	dumpRoll  bool
 	fired     bool // the explicit trigger dumped already
-	rollbacks uint64
 	dirs      []string
 	dumpErr   error
 }
@@ -75,8 +73,6 @@ func newFlightRun(spec *workloads.Spec, opt *TRIPSOptions) (*flightRun, error) {
 	}
 	switch {
 	case fo.DumpOn == "":
-	case fo.DumpOn == "rollback":
-		f.dumpRoll = true
 	case fo.DumpOn == "end":
 		f.dumpEnd = true
 	case strings.HasPrefix(fo.DumpOn, "block="):
@@ -92,7 +88,7 @@ func newFlightRun(spec *workloads.Spec, opt *TRIPSOptions) (*flightRun, error) {
 		}
 		f.trigCycle = n
 	default:
-		return nil, fmt.Errorf("eval: bad -dump-on %q: want rollback, end, block=N, or cycle=N", fo.DumpOn)
+		return nil, fmt.Errorf("eval: bad -dump-on %q: want end, block=N, or cycle=N", fo.DumpOn)
 	}
 	bench := fo.Bench
 	if bench == "" {
@@ -178,8 +174,8 @@ func (f *flightRun) armed() bool { return f.rec != nil }
 func (f *flightRun) Recorder() *flight.Recorder { return f.rec }
 
 // bind attaches the built machine: the saver/hash/stats callbacks, the
-// self-re-arming rolling-checkpoint hook (trigger-aware), the rollback
-// hook, and the obs sampler series for recorder state.
+// self-re-arming rolling-checkpoint hook (trigger-aware), and the obs
+// sampler series for recorder state.
 func (f *flightRun) bind(t *trips, opt TRIPSOptions) {
 	if f.rec == nil {
 		return
@@ -199,10 +195,9 @@ func (f *flightRun) bind(t *trips, opt TRIPSOptions) {
 		},
 		func() map[string]uint64 {
 			return map[string]uint64{
-				"core.cycles":   uint64(t.core.Cycle()),
-				"core.blocks":   t.core.CommittedBlocks,
-				"core.insts":    t.core.CommittedInsts,
-				"lag.rollbacks": f.rollbacks,
+				"core.cycles": uint64(t.core.Cycle()),
+				"core.blocks": t.core.CommittedBlocks,
+				"core.insts":  t.core.CommittedInsts,
 			}
 		})
 	var fire func(cycle int64) error
@@ -234,13 +229,6 @@ func (f *flightRun) bind(t *trips, opt TRIPSOptions) {
 		first = f.trigCycle
 	}
 	t.core.SetCheckpointHook(first, fire)
-	t.core.SetRollbackHook(func(owner int, from, effect int64) {
-		f.rollbacks++
-		if f.dumpRoll && f.rollbacks == 1 {
-			f.dump(flight.TriggerRollback,
-				fmt.Sprintf("core %d rolled back from cycle %d to effect cycle %d", owner, from, effect), from)
-		}
-	})
 	if sm := opt.Metrics; sm != nil {
 		sm.Register("flight.captures", func() int64 { return int64(f.rec.Captures()) })
 		sm.Register("flight.checkpoints_held", func() int64 { return int64(f.rec.CheckpointsHeld()) })

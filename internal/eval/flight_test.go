@@ -210,10 +210,9 @@ func TestRestoredTraceWindowMatches(t *testing.T) {
 // On a single-core eval run the core always has real work in flight while a
 // padded response is pending, so its overshoot past the true effect cycle
 // is genuinely stepped — the effect gate detects a horizon violation and
-// panics rather than rolling back (warp-only overshoot, the rollback shape,
-// needs a multi-core chip chase; see TestChipRollbackHookObserves). The
-// armed recorder must classify that panic as a deadline-violation dump and
-// re-raise it.
+// panics (a warp-only overshoot needs a multi-core chip chase; see
+// TestChipLagDeadlinePadPanics). The armed recorder must classify that
+// panic as a deadline-violation dump and re-raise it.
 func TestFlightDeadlineViolationDump(t *testing.T) {
 	w, err := workloads.ByName("vadd")
 	if err != nil {

@@ -5,22 +5,11 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"trips/internal/tcc"
 	"trips/internal/workloads"
 )
-
-// Progress exposes the evaluation fan-out's live counters. The workers add
-// to them as rows finish, and a debug HTTP endpoint (expvar) can read them
-// concurrently — hence the atomics.
-var Progress struct {
-	// Rows is the number of completed Table 3 rows across all calls.
-	Rows atomic.Int64
-	// SimCycles is the total simulated cycles those rows covered.
-	SimCycles atomic.Int64
-}
 
 // HostMetrics captures host-side throughput for one Table 3 row: how fast
 // the simulator chewed through the row's three runs (TRIPS hand, TRIPS
@@ -113,8 +102,6 @@ func table3Subset(ws []workloads.Workload, workers int, step ...Stepping) (*Tabl
 				rep.Rows[i] = row
 				sim := row.CyclesHand + row.CyclesTCC + row.CyclesAlpha
 				rep.Host[i] = hostMetrics(row.Name, sim, time.Since(t0))
-				Progress.Rows.Add(1)
-				Progress.SimCycles.Add(sim)
 			}
 		}()
 	}

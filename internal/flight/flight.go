@@ -2,8 +2,8 @@
 // keeps a rolling ring of the last K block-commit checkpoints (reusing
 // internal/ckpt frames, bounded memory) plus bounded in-memory trace
 // windows of recent protocol events, and on a trigger — panic, cycle-limit
-// overrun, bit-identity divergence, bounded-lag rollback, or an explicit
-// -dump-on request — atomically writes a self-describing dump bundle
+// overrun, bit-identity divergence, or an explicit -dump-on request —
+// atomically writes a self-describing dump bundle
 // (manifest JSON + nearest-prior checkpoint + trace windows + counters
 // snapshot) that cmd/trips-debug can replay and diff.
 //
@@ -30,7 +30,6 @@ import (
 const (
 	TriggerPanic      = "panic"
 	TriggerLimit      = "cycle-limit"
-	TriggerRollback   = "rollback"
 	TriggerDivergence = "divergence"
 	TriggerEnd        = "end"
 	TriggerError      = "error"

@@ -109,7 +109,7 @@ func TestDumpBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir, err := r.Dump(TriggerRollback, "injected fault", 1009)
+	dir, err := r.Dump(TriggerDivergence, "injected fault", 1009)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDumpBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	man := b.Manifest
-	if man.Trigger != TriggerRollback || man.Reason != "injected fault" || man.DumpCycle != 1009 {
+	if man.Trigger != TriggerDivergence || man.Reason != "injected fault" || man.DumpCycle != 1009 {
 		t.Fatalf("manifest trigger/reason/cycle wrong: %+v", man)
 	}
 	if man.Checkpoint == nil || man.Checkpoint.Cycle != 1004 {
@@ -170,7 +170,7 @@ func TestDumpBundleRoundTrip(t *testing.T) {
 	}
 
 	// A second dump at the same cycle must not clobber the first.
-	dir2, err := r.Dump(TriggerRollback, "again", 1009)
+	dir2, err := r.Dump(TriggerDivergence, "again", 1009)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func (m *fakeMachine) SetCheckpointHook(at int64, fn func(int64) error) {
 
 func TestSanitize(t *testing.T) {
 	for in, want := range map[string]string{
-		"rollback": "rollback", "block=12": "block_12", "": "trigger", "a/b": "a_b",
+		"end": "end", "block=12": "block_12", "": "trigger", "a/b": "a_b",
 	} {
 		if got := sanitize(in); got != want {
 			t.Fatalf("sanitize(%q) = %q, want %q", in, got, want)

@@ -119,7 +119,7 @@ type Mesh[T Routable] struct {
 	// Inject can change the mesh (Propagate and Pop have nothing to move),
 	// and each of them moves one of the two counters. A horizon query and
 	// the SkipTicks that acts on it therefore share one resident walk and one
-	// window simulation. LoadState and RewindTicks drop it explicitly. Only a
+	// window simulation. LoadState drops it explicitly. Only a
 	// mesh that is asked for a transit bound carries one (the OCN, not the
 	// core's operand networks).
 	transit *transitMemo[T]
@@ -712,24 +712,6 @@ func (m *Mesh[T]) SkipTicks(n int64) {
 	// window leave the same messages with exactly n Ticks less of it, so the
 	// horizon query that follows a warp needs no new walk either.
 	m.transit.tick, m.transit.window = m.tickCount, w-n
-}
-
-// RewindTicks moves the arbitration clock backwards by n cycles. It is the
-// inverse of SkipTicks on a quiet mesh and exists solely for bounded-lag
-// rollback: a core whose stride was pure warp (no Step executed) rewinds its
-// local clock, and its network clocks must follow so a replayed stride sees
-// identical arbitration rotation. Rewinding a mesh with resident messages
-// would desynchronize per-hop accounting, so that is a hard error.
-func (m *Mesh[T]) RewindTicks(n int64) {
-	if n <= 0 {
-		return
-	}
-	if !m.Quiet() {
-		panic(fmt.Sprintf("micronet: %s: RewindTicks(%d) on a non-quiet mesh (bufOcc=%d linkBusy=%d pendingDeliv=%d)",
-			m.Name, n, m.bufOcc, m.linkBusy, m.pendingDeliv))
-	}
-	m.tickCount -= int(n)
-	m.transit = nil
 }
 
 // MinTransit returns a lower bound on the number of Ticks a message injected

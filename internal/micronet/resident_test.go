@@ -152,8 +152,8 @@ func checkResidentQueries(t *testing.T, m *Mesh[*testMsg], when string) {
 
 // TestResidentIndexMatchesGridScanFuzz drives random interleavings of every
 // operation that moves a message — Inject, Tick, Propagate, Pop, PopDelivery,
-// SkipTicks, RewindTicks on a drained mesh, and a SaveState/LoadState round
-// trip into a fresh mesh — on the OPN and OCN geometries, and after every
+// SkipTicks, and a SaveState/LoadState round trip into a fresh mesh — on
+// the OPN and OCN geometries, and after every
 // single operation holds VisitResidents, soloTransit, transitSet (with its
 // memoized window) and EarliestArrival equal to the full-grid references.
 // Tick and Propagate are fuzzed apart as well as together, so messages sit on
@@ -214,9 +214,6 @@ func TestResidentIndexMatchesGridScanFuzz(t *testing.T) {
 							skips++
 						} else if m.Quiet() {
 							m.SkipTicks(rng.Int63n(5))
-							if rng.Intn(2) == 0 && m.tickCount > 3 {
-								m.RewindTicks(1 + rng.Int63n(3))
-							}
 						}
 						when = "SkipTicks"
 					default:

@@ -243,19 +243,3 @@ func TestSkipTicksMultiReplayBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-func TestRewindTicks(t *testing.T) {
-	m := NewMesh[*testMsg]("opn", 5, 5)
-	m.SkipTicks(10)
-	m.RewindTicks(4)
-	if m.tickCount != 6 {
-		t.Errorf("tickCount after skip 10 / rewind 4 = %d, want 6", m.tickCount)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RewindTicks on a non-quiet mesh did not panic")
-		}
-	}()
-	m.Inject(Coord{0, 0}, &testMsg{id: 1, dest: Coord{0, 2}})
-	m.RewindTicks(1)
-}

@@ -211,8 +211,8 @@ func auditDeadlineBook(t *testing.T, s *System) {
 // MTs), scratchpad mode, and a random request mix including line-splitting
 // sizes — and asserts the bound on every completed transaction. If a future
 // change shortens the OCN round trip (fewer hops, faster banks) without
-// CrossCoreLag tracking it, this fails before the coordinator silently
-// starts missing rollbacks.
+// CrossCoreLag tracking it, this fails before the coordinator's effect gate
+// starts panicking on real workloads.
 func TestCrossCoreLagPropertyFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed

@@ -313,8 +313,8 @@ type System struct {
 
 	// Bounded-lag support: per-owner outstanding-work accounting, the
 	// memoized cross-core visibility lag, and the optional effect gate a
-	// bounded-lag coordinator installs to detect responses that would land
-	// behind a core's already-simulated cycles (rollback trigger).
+	// bounded-lag coordinator installs to assert that no response lands
+	// behind a core's already-simulated cycles.
 	ownerFn        func(name string) int
 	stagedByOwner  [maxOwners]int64
 	pendingByOwner [maxOwners]int
@@ -541,8 +541,8 @@ func (s *System) BindClock(owner int, clock func() int64) {
 // SetEffectGate installs the bounded-lag coordinator's response observer: it
 // is called with the owning core and the backend cycle at which each client
 // response's effects become core-visible, before the response's Done callback
-// runs. A coordinator uses it to detect (and roll back from) responses that
-// land behind a core's already-simulated cycles. nil uninstalls.
+// runs. A coordinator uses it to assert that no response lands behind a
+// core's already-simulated cycles. nil uninstalls.
 func (s *System) SetEffectGate(fn func(owner int, effectCycle int64)) { s.gate = fn }
 
 // StagedFor returns the number of staged (not yet drained) transactions

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Point is one retained sample of a series.
@@ -58,9 +57,8 @@ func (h *Histogram) String() string {
 }
 
 // Series is one sampled metric: a bounded time series (downsampled in place
-// as it fills), an occupancy histogram, and running aggregates. The
-// aggregates are published through atomics so a debug HTTP handler can read
-// them while the simulation goroutine keeps sampling.
+// as it fills), an occupancy histogram, and running aggregates. Like its
+// Sampler it belongs to one simulation goroutine; read it after the run.
 type Series struct {
 	Name string
 	Hist Histogram
@@ -69,36 +67,29 @@ type Series struct {
 	pts      []Point
 	interval int64 // current retention interval (doubles on downsample)
 
-	last  atomic.Int64
-	max   atomic.Int64
-	sum   atomic.Int64
-	count atomic.Int64
+	last, max, sum, count int64
 }
 
 // Points returns the retained samples oldest-first.
 func (s *Series) Points() []Point { return s.pts }
 
-// Last, Max, Mean and Count report the running aggregates (atomic reads,
-// safe from other goroutines).
-func (s *Series) Last() int64  { return s.last.Load() }
-func (s *Series) Max() int64   { return s.max.Load() }
-func (s *Series) Count() int64 { return s.count.Load() }
+// Last, Max, Mean and Count report the running aggregates.
+func (s *Series) Last() int64  { return s.last }
+func (s *Series) Max() int64   { return s.max }
+func (s *Series) Count() int64 { return s.count }
 func (s *Series) Mean() float64 {
-	n := s.count.Load()
-	if n == 0 {
+	if s.count == 0 {
 		return 0
 	}
-	return float64(s.sum.Load()) / float64(n)
+	return float64(s.sum) / float64(s.count)
 }
 
 func (s *Series) record(cycle, v int64) {
 	s.Hist.Add(v)
-	s.last.Store(v)
-	if v > s.max.Load() {
-		s.max.Store(v)
-	}
-	s.sum.Add(v)
-	s.count.Add(1)
+	s.last = v
+	s.max = max(s.max, v)
+	s.sum += v
+	s.count++
 	if len(s.pts) == cap(s.pts) {
 		// Ring full: halve resolution (keep every other point) so a long
 		// run retains full-span coverage in bounded memory.

@@ -165,13 +165,9 @@ type Core struct {
 	// boundary past ckptAt, then disarms. Nil when no checkpoint is armed.
 	ckptAt int64
 	ckptFn func(cycle int64) error
-	// Rollback hook: forwarded to LagConfig.OnRollback by RunLagCheckpointed
-	// so observers (the flight recorder) see effect-gate rewinds.
-	onRollback func(owner int, from, effect int64)
-	// Fault-injection knobs forwarded to LagConfig by RunLagCheckpointed
-	// (see LagConfig.HorizonOverride/DeadlinePad). Test/debug only.
-	lagHorizonOverride int64
-	lagDeadlinePad     int64
+	// Fault injector forwarded to LagConfig.DeadlinePad by
+	// RunLagCheckpointed. Test/debug only.
+	lagDeadlinePad int64
 }
 
 // NewCore builds a core over the given configuration.
@@ -1082,25 +1078,6 @@ func (c *Core) WarpTo(target int64) {
 	c.cycle = target
 }
 
-// RewindTo is the inverse of WarpTo for a warp-only segment: it moves the
-// core clock back to target and un-replays the operand meshes' skipped
-// arbitration ticks. It is only sound when every cycle in [target, cycle)
-// was reached by WarpTo — a warped cycle is exactly a no-op Step, so
-// undoing the mesh tick counters restores the pre-warp state bit for bit.
-// The bounded-lag coordinator uses this to roll a core back to the effect
-// cycle of a response that arrived earlier than its stride assumed.
-func (c *Core) RewindTo(target int64) {
-	delta := c.cycle - target
-	if delta <= 0 {
-		return
-	}
-	for _, m := range c.opns {
-		m.RewindTicks(delta)
-	}
-	c.cycle = target
-	c.WarpedCycles -= delta
-}
-
 // drainsIdle reports whether every DT has finished pushing committed
 // stores into its bank (the background tail of the commit protocol).
 func (c *Core) drainsIdle() bool {
@@ -1110,6 +1087,16 @@ func (c *Core) drainsIdle() bool {
 		}
 	}
 	return true
+}
+
+// deadlockWatchdog is how many cycles a core may go without a block commit
+// before Run, RunLockstep and RunLagCheckpointed give up on it as
+// deadlocked.
+const deadlockWatchdog = 200_000
+
+// deadlockErr is the watchdog's error, the same from every run loop.
+func deadlockErr(c *Core) error {
+	return fmt.Errorf("proc: no commit in %d cycles at cycle %d (%d blocks committed): deadlock", deadlockWatchdog, c.cycle, c.CommittedBlocks)
 }
 
 // Run executes until every thread halts and all committed stores have
@@ -1150,7 +1137,7 @@ func (c *Core) run(memTick func()) (Result, error) {
 			if h > limit {
 				h = limit
 			}
-			if wl := lastCommit + 200_000; h > wl {
+			if wl := lastCommit + deadlockWatchdog; h > wl {
 				h = wl
 			}
 			if h > c.cycle {
@@ -1180,8 +1167,8 @@ func (c *Core) run(memTick func()) (Result, error) {
 					return Result{}, fmt.Errorf("proc: checkpoint at cycle %d: %w", c.cycle, err)
 				}
 			}
-		} else if c.cycle-lastCommit > 200_000 {
-			return Result{}, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.cycle, c.CommittedBlocks)
+		} else if c.cycle-lastCommit > deadlockWatchdog {
+			return Result{}, deadlockErr(c)
 		}
 	}
 	return c.Result(), nil
@@ -1232,22 +1219,11 @@ func (c *Core) SetCheckpointHook(at int64, fn func(cycle int64) error) {
 	c.ckptFn = fn
 }
 
-// SetRollbackHook arms fn to observe bounded-lag effect-gate rewinds when
-// this core runs under RunLagCheckpointed: owner is the memory-port owner id,
-// from the cycle the core had run ahead to, effect the rewound-to cycle.
-// Observability only — fn must not touch simulated state.
-func (c *Core) SetRollbackHook(fn func(owner int, from, effect int64)) {
-	c.onRollback = fn
-}
-
-// SetLagFaults sets the bounded-lag fault-injection knobs RunLagCheckpointed
-// forwards to the coordinator: horizonOverride forces every stride
-// horizon to G+n, deadlinePad overshoots every response deadline by n
-// cycles (see LagConfig). Both make rollbacks reachable on demand while
-// results stay bit-identical; never set them outside tests or debugging
-// walkthroughs.
-func (c *Core) SetLagFaults(horizonOverride, deadlinePad int64) {
-	c.lagHorizonOverride = horizonOverride
+// SetLagFaults sets the deadline pad RunLagCheckpointed forwards to the
+// coordinator (LagConfig.DeadlinePad): every response deadline overshoots
+// by deadlinePad cycles, so the effect gate's horizon assertion fires.
+// Never set it outside tests or debugging walkthroughs.
+func (c *Core) SetLagFaults(deadlinePad int64) {
 	c.lagDeadlinePad = deadlinePad
 }
 

@@ -21,10 +21,10 @@ import (
 //     per-(bank, port) wormhole Manhattan transit tables, the MSHR fill
 //     state, and SDRAM completion times, each a provable lower bound on the
 //     effect cycle. The stride therefore ends at or before the first cycle
-//     a response could touch the core, so no rollback is ever needed —
-//     where PR 5 held such a core to one-cycle lockstep (horizon G+1), a
-//     core waiting out a 60-cycle SDRAM access now strides those cycles in
-//     one piece.
+//     a response could touch the core, so nothing ever needs undoing —
+//     where the coordinator once held such a core to one-cycle lockstep
+//     (horizon G+1), a core waiting out a 60-cycle SDRAM access now strides
+//     those cycles in one piece.
 //
 //  2. The staged-submission gate. A core may step cycle u > G only while its
 //     owned port queues are empty. In a sequential run the backend drains
@@ -40,12 +40,14 @@ import (
 //     next Submit completes a round trip — and leg 2 ends the stride one
 //     cycle after any Submit, after which leg 1's deadline for that very
 //     transaction takes over. The stride is therefore bounded only by the
-//     cycle limit (and MaxStride, when configured); the effect gate still
-//     cross-checks every response against the owner's clock and rolls back
-//     the (warp-only, hence cheaply rewindable) overshoot if a
-//     fault-injected override let the core run past a real effect.
-//     CrossCoreLag remains the geometric floor all deadline terms are
-//     asserted against by the property tests.
+//     cycle limit (and MaxStride, when configured).
+//
+// The effect gate asserts all three: every response is cross-checked
+// against its owner's clock as it reaches the owner's port, and a core
+// already past the response's effect cycle is a simulator bug that panics
+// as a bounded-lag horizon violation. LagConfig.DeadlinePad is the one way
+// to provoke it on purpose. CrossCoreLag remains the geometric floor all
+// deadline terms are asserted against by the property tests.
 //
 // The coordinator alternates three phases per round: a joint warp when every
 // component is quiescent at the same cycle (the old whole-machine fast
@@ -57,8 +59,8 @@ import (
 
 // LagMem is the backend contract for bounded-lag stepping: an EventHorizon
 // that additionally exposes its clock, per-owner staging/outstanding
-// counters, the cross-core visibility bound, and the effect gate used to
-// detect (and roll back) horizon violations.
+// counters, the cross-core visibility bound, and the effect gate that
+// asserts no response lands behind its owner's clock.
 type LagMem interface {
 	EventHorizon
 	Tick()
@@ -89,19 +91,19 @@ type LagCoreStats struct {
 	StrideCycles int64
 	StrideHist   obs.Histogram
 	// Why strides ended: the core ran out of horizon (HorizonLimited, e.g. a
-	// MaxStride or fault-injection cap), reached the computed response
-	// deadline of its outstanding memory work (DeadlineLimited), degenerated
-	// to one-cycle lockstep because that deadline was already at hand
-	// (QuiesceLimited), staged a submission the backend must drain first
-	// (Backpressure), or finished.
+	// MaxStride cap), reached the computed response deadline of its
+	// outstanding memory work (DeadlineLimited), degenerated to one-cycle
+	// lockstep because that deadline was already at hand (QuiesceLimited),
+	// staged a submission the backend must drain first (Backpressure), or
+	// finished.
 	HorizonLimited  uint64
 	DeadlineLimited uint64
 	QuiesceLimited  uint64
 	Backpressure    uint64
-	// Rollbacks counts strides invalidated by an early-arriving response;
-	// structurally zero unless a horizon override disables the safe bounds.
-	Rollbacks        uint64
-	RolledBackCycles int64
+	// Rollbacks is always 0: an early-arriving response panics in the
+	// effect gate instead of being rolled back. The field stays for
+	// readers that still report it.
+	Rollbacks uint64
 }
 
 // LagStats aggregates coordinator telemetry across a bounded-lag run.
@@ -126,15 +128,6 @@ func (s *LagStats) TotalStrides() uint64 {
 	return n
 }
 
-// TotalRollbacks sums rollback counts across cores.
-func (s *LagStats) TotalRollbacks() uint64 {
-	var n uint64
-	for i := range s.Core {
-		n += s.Core[i].Rollbacks
-	}
-	return n
-}
-
 // Summary renders the coordinator telemetry for terminal output: per-core
 // stride histograms with stall reasons, plus round and warp totals.
 func (s *LagStats) Summary() string {
@@ -146,9 +139,9 @@ func (s *LagStats) Summary() string {
 		if cs.Strides == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  core %d: %d strides (%d cycles, avg %.1f), stalls horizon=%d deadline=%d quiesce=%d backpressure=%d, rollbacks=%d (%d cycles)\n",
+		fmt.Fprintf(&b, "  core %d: %d strides (%d cycles, avg %.1f), stalls horizon=%d deadline=%d quiesce=%d backpressure=%d\n",
 			k, cs.Strides, cs.StrideCycles, float64(cs.StrideCycles)/float64(cs.Strides),
-			cs.HorizonLimited, cs.DeadlineLimited, cs.QuiesceLimited, cs.Backpressure, cs.Rollbacks, cs.RolledBackCycles)
+			cs.HorizonLimited, cs.DeadlineLimited, cs.QuiesceLimited, cs.Backpressure)
 		fmt.Fprintf(&b, "    stride-length hist: %s\n", cs.StrideHist.String())
 	}
 	return b.String()
@@ -159,16 +152,13 @@ type LagConfig struct {
 	// Limit is the simulated-cycle budget (0 means DefaultMaxCycles, matching
 	// Run).
 	Limit int64
-	// Watchdog enables Run's per-core 200k-cycle no-commit deadlock check.
+	// Watchdog enables Run's per-core no-commit deadlock check
+	// (deadlockWatchdog cycles).
 	Watchdog bool
-	// HorizonOverride, when positive, forces every stride horizon to G+n
-	// regardless of outstanding work — a fault-injection hook that makes
-	// horizon violations (and thus rollbacks) reachable for testing.
-	HorizonOverride int64
 	// DeadlinePad, when positive, adds n cycles to every computed response
 	// deadline — past the provable bound, so a waiting core overshoots the
-	// true effect cycle and the effect gate must roll it back. A
-	// fault-injection hook for exercising the rollback path; never set it
+	// true effect cycle and the effect gate panics. The one fault injector,
+	// kept so tests can show the assertion still has teeth; never set it
 	// outside tests.
 	DeadlinePad int64
 	// MaxStride, when positive, caps every stride horizon at G+n. Always
@@ -184,13 +174,6 @@ type LagConfig struct {
 	// CanWarpExtra gates warping on chip-level work: false while a DMA
 	// engine is between transactions and needs per-cycle ticks.
 	CanWarpExtra func() bool
-	// OnRollback, when non-nil, is invoked after the effect gate rewinds a
-	// core: owner is the memory-port owner id, from the cycle the core had
-	// run ahead to, effect the cycle it was rewound to. Observability hook
-	// only (the flight recorder hangs dump triggers here); it runs after
-	// the rewind and before the response's completion callback, and must
-	// not touch simulated state.
-	OnRollback func(owner int, from, effect int64)
 	// Stats, when non-nil, receives coordinator telemetry.
 	Stats *LagStats
 	// LimitErr formats the cycle-limit error (chip and proc wordings
@@ -215,12 +198,10 @@ type lagRunner struct {
 	stop  int64 // pause cycle, or NoStop
 	G     int64 // backend clock: index of the next backend tick
 
-	doneCore    []bool
-	lastStepped []int64 // rollback validity: cycles past this were warp-only
-	lastCommit  []int64
-	lastCount   []uint64
-	ownerIdx    map[int]int
-	catchTarget int64
+	doneCore   []bool
+	lastCommit []int64
+	lastCount  []uint64
+	ownerIdx   map[int]int
 
 	stats *LagStats
 }
@@ -249,13 +230,12 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig, stop int64) (int6
 	n := len(cores)
 	r := &lagRunner{
 		mem: mem, cores: cores, cfg: cfg, limit: limit, stop: stop,
-		G:           mem.Cycle(),
-		doneCore:    make([]bool, n),
-		lastStepped: make([]int64, n),
-		lastCommit:  make([]int64, n),
-		lastCount:   make([]uint64, n),
-		ownerIdx:    make(map[int]int, n),
-		stats:       cfg.Stats,
+		G:          mem.Cycle(),
+		doneCore:   make([]bool, n),
+		lastCommit: make([]int64, n),
+		lastCount:  make([]uint64, n),
+		ownerIdx:   make(map[int]int, n),
+		stats:      cfg.Stats,
 	}
 	if r.stats == nil {
 		r.stats = &LagStats{}
@@ -265,7 +245,6 @@ func RunBoundedLag(mem LagMem, cores []LagCore, cfg LagConfig, stop int64) (int6
 	}
 	for k := range cores {
 		c := cores[k].Core
-		r.lastStepped[k] = c.Cycle()
 		r.lastCommit[k] = c.Cycle()
 		r.lastCount[k] = c.CommittedBlocks
 		if cores[k].Owner >= 0 {
@@ -377,7 +356,7 @@ func (r *lagRunner) jointWarp() {
 			if r.doneCore[k] {
 				continue
 			}
-			if wl := r.lastCommit[k] + 200_000; h > wl {
+			if wl := r.lastCommit[k] + deadlockWatchdog; h > wl {
 				h = wl
 			}
 		}
@@ -415,8 +394,6 @@ func (r *lagRunner) strideAll() error {
 		var horizon int64
 		endReason := rsHorizon
 		switch {
-		case r.cfg.HorizonOverride > 0:
-			horizon = r.G + r.cfg.HorizonOverride
 		case r.cores[k].Owner >= 0 && r.mem.OutstandingFor(r.cores[k].Owner) > 0:
 			// Outstanding memory work: stride to the earliest cycle any of
 			// its responses can dispatch at the core's port. The deadline is
@@ -497,7 +474,7 @@ func (r *lagRunner) strideAll() error {
 // stride runs one core forward until it finishes, reaches its horizon, or
 // stages a submission the backend must drain first, returning why it ended:
 // endReason when it ran all the way to its horizon
-// (rsHorizon for a free-run or override cap, rsDeadline for a computed
+// (rsHorizon for a free-run or MaxStride cap, rsDeadline for a computed
 // response deadline, rsQuiesce when that deadline degenerated to one-cycle
 // lockstep). Locally quiet stretches are warped per-core — this is where
 // bounded lag beats the global gate: the warp no longer waits for the whole
@@ -529,7 +506,7 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) (int, error) {
 			}
 			wt = micronet.MinHorizon(wt, c.NextEventCycle())
 			if r.cfg.Watchdog {
-				if wl := r.lastCommit[k] + 200_000; wt > wl {
+				if wl := r.lastCommit[k] + deadlockWatchdog; wt > wl {
 					wt = wl
 				}
 			}
@@ -541,13 +518,12 @@ func (r *lagRunner) stride(k int, horizon int64, endReason int) (int, error) {
 			}
 		}
 		c.Step()
-		r.lastStepped[k] = c.Cycle()
 		if r.cfg.Watchdog {
 			if c.CommittedBlocks != r.lastCount[k] {
 				r.lastCount[k] = c.CommittedBlocks
 				r.lastCommit[k] = c.Cycle()
-			} else if c.Cycle()-r.lastCommit[k] > 200_000 {
-				return reason, fmt.Errorf("proc: no commit in 200000 cycles at cycle %d (%d blocks committed): deadlock", c.Cycle(), c.CommittedBlocks)
+			} else if c.Cycle()-r.lastCommit[k] > deadlockWatchdog {
+				return reason, deadlockErr(c)
 			}
 		}
 	}
@@ -579,14 +555,13 @@ func (r *lagRunner) catchUp() {
 	if target > r.stop {
 		target = r.stop
 	}
-	r.catchTarget = target
 	maxCore := r.maxCoreCycle()
-	for r.G < r.catchTarget {
+	for r.G < target {
 		if allDone && !r.extraBusy() && r.G >= maxCore {
 			break
 		}
 		if r.canWarpExtra() && r.mem.Quiet() {
-			v := r.catchTarget
+			v := target
 			// With every core finished and no chip-level work left, the run
 			// ends at the last core's cycle — don't warp past it.
 			if allDone && v > maxCore && !r.extraBusy() {
@@ -616,35 +591,17 @@ func (r *lagRunner) catchUp() {
 
 // onEffect is the effect gate, invoked by the backend as each response
 // reaches its owner's port during catch-up. effect is the first core cycle
-// whose step observes the response. A core past that cycle ran ahead on a
-// stale premise: its overshoot is provably warp-only under the safe
-// horizons (anything else means the L bound itself is broken, which panics
-// as a simulator bug), so rolling back is a cheap clock rewind. The rewind
-// happens before the response's completion callback runs, so the callback
-// schedules against the corrected clock.
+// whose step observes the response. The stride horizons are lower bounds on
+// every effect cycle, so the owner's clock can never be past it: a core that
+// is means a horizon bound is broken, and the gate panics as a simulator
+// bug.
 func (r *lagRunner) onEffect(owner int, effect int64) {
 	k, ok := r.ownerIdx[owner]
 	if !ok {
 		return
 	}
-	c := r.cores[k].Core
-	t := c.Cycle()
-	if t <= effect {
-		return
-	}
-	if r.lastStepped[k] > effect {
-		panic(fmt.Sprintf("proc: bounded-lag horizon violated: response effective at cycle %d but core %d already stepped to %d", effect, k, r.lastStepped[k]))
-	}
-	c.RewindTo(effect)
-	cs := &r.stats.Core[k]
-	cs.Rollbacks++
-	cs.RolledBackCycles += t - effect
-	if r.cfg.OnRollback != nil {
-		r.cfg.OnRollback(owner, t, effect)
-	}
-	// The backend must not tick past the rewound clock.
-	if effect < r.catchTarget {
-		r.catchTarget = effect
+	if t := r.cores[k].Core.Cycle(); t > effect {
+		panic(fmt.Sprintf("proc: bounded-lag horizon violated: response effective at cycle %d but core %d is already at cycle %d", effect, k, t))
 	}
 }
 
@@ -665,13 +622,11 @@ func (r *lagRunner) onEffect(owner int, effect int64) {
 // Warps/WarpedCycles telemetry differs).
 func (c *Core) RunLagCheckpointed(mem LagMem, maxStride int64, stats *LagStats) (Result, error) {
 	cfg := LagConfig{
-		Limit:           c.cfg.MaxCycles,
-		Watchdog:        true,
-		MaxStride:       maxStride,
-		Stats:           stats,
-		OnRollback:      c.onRollback,
-		HorizonOverride: c.lagHorizonOverride,
-		DeadlinePad:     c.lagDeadlinePad,
+		Limit:       c.cfg.MaxCycles,
+		Watchdog:    true,
+		MaxStride:   maxStride,
+		Stats:       stats,
+		DeadlinePad: c.lagDeadlinePad,
 		LimitErr: func(l int64) error {
 			return fmt.Errorf("proc: cycle limit %d exceeded (%d blocks committed)", l, c.CommittedBlocks)
 		},
