@@ -37,7 +37,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"trips/internal/critpath"
@@ -106,6 +105,7 @@ func parseFlags(args []string, errOut io.Writer) (*options, error) {
 // validate rejects flag values and combinations that cannot run as asked,
 // so nothing is silently ignored.
 func (o *options) validate() error {
+	_, dumpErr := eval.ParseDumpOn(o.dumpOn)
 	switch {
 	case o.opn != 1 && o.opn != 2:
 		return fmt.Errorf("-opn must be 1 or 2, got %d", o.opn)
@@ -123,8 +123,8 @@ func (o *options) validate() error {
 		return errors.New("-sample-interval cannot be combined with -checkpoint-out or -restore")
 	case o.dumpOn != "" && !o.flightOn:
 		return errors.New("-dump-on arms a flight-recorder trigger; pass -flight as well")
-	case o.dumpOn != "" && o.dumpOn != "end" && !strings.HasPrefix(o.dumpOn, "block=") && !strings.HasPrefix(o.dumpOn, "cycle="):
-		return fmt.Errorf("unknown -dump-on trigger %q: want end, block=N, or cycle=N", o.dumpOn)
+	case dumpErr != nil:
+		return dumpErr
 	case o.flightOn && (o.ckptOut != "" || o.sampleInt > 0):
 		return errors.New("-flight cannot be combined with -checkpoint-out or -sample-interval (both own the commit hook)")
 	case o.maxCycles < 0 || o.lagPad < 0:

@@ -37,6 +37,9 @@ func TestFlagSurface(t *testing.T) {
 		{"-bench vadd -nuca -reference -lag-deadline-pad 64", "it has no deadline to pad"},
 		{"-bench vadd -lag-deadline-pad 64", "only -nuca runs have"},
 		{"-bench vadd -nuca -flight -dump-on rollback", "unknown -dump-on trigger"},
+		{"-bench vadd -flight -dump-on block=x", "want block=<positive count>"},
+		{"-bench vadd -flight -dump-on block=0", "want block=<positive count>"},
+		{"-bench vadd -flight -dump-on cycle=-1", "want cycle=<positive cycle>"},
 		{"-bench vadd -nuca -lag-horizon-override 8", "flag provided but not defined"},
 		{"-bench vadd -debug-addr localhost:6060", "flag provided but not defined"},
 		{"-bench vadd -nofastpath", "flag provided but not defined"},

@@ -237,7 +237,16 @@ func (m *Machine) Reg(r tir.Reg) uint64 { return m.regs[r] }
 // FlushCache writes dirty L1 lines back to memory.
 func (m *Machine) FlushCache() {
 	for _, v := range m.l1.DirtyLines() {
-		m.mem.WriteBytes(v.Addr, v.Data)
+		m.mem.WriteBytes(v.Addr, v.Data[:])
+	}
+}
+
+// fill installs the line at line from memory, writing a dirty victim back.
+func (m *Machine) fill(line uint64) {
+	var buf [cache.LineBytes]byte
+	m.mem.ReadInto(line, buf[:])
+	if v := m.l1.Fill(line, buf[:]); v.Valid {
+		m.mem.WriteBytes(v.Addr, v.Data[:])
 	}
 }
 
@@ -328,17 +337,15 @@ func (m *Machine) commit() bool {
 
 func (m *Machine) storeCommit(e *robEntry) {
 	w := e.ai.inst.Width
-	data := make([]byte, w)
+	var scratch [8]byte
+	data := scratch[:w]
 	for i := 0; i < w; i++ {
 		data[i] = byte(e.valB >> (8 * i))
 	}
 	if !m.l1.Write(e.addr, data) {
 		// Write-allocate instantly at commit; the timing cost was charged
 		// when the load/store executed.
-		line := m.l1.LineAddr(e.addr)
-		if v := m.l1.Fill(line, m.mem.ReadBytes(line, 64)); v.Valid {
-			m.mem.WriteBytes(v.Addr, v.Data)
-		}
+		m.fill(m.l1.LineAddr(e.addr))
 		m.l1.Write(e.addr, data)
 	}
 }
@@ -586,9 +593,7 @@ func (m *Machine) loadAccess(e *robEntry) (uint64, int64) {
 	}
 	// Model the fill: data becomes architecturally visible now (functional
 	// correctness), timing charged until the fill completes.
-	if v := m.l1.Fill(line, m.mem.ReadBytes(line, 64)); v.Valid {
-		m.mem.WriteBytes(v.Addr, v.Data)
-	}
+	m.fill(line)
 	v, _ := m.l1.ReadUint(e.addr, w)
 	if ready <= m.cycle {
 		ready = m.cycle + int64(m.cfg.L1Hit)

@@ -7,6 +7,10 @@ package cache
 
 import "fmt"
 
+// LineBytes is the largest line a bank holds: every TRIPS cache uses 64-byte
+// lines, so a line's data is a fixed array rather than a slice.
+const LineBytes = 64
+
 // Bank is one physically-indexed, write-back, LRU, set-associative cache
 // bank holding real data bytes.
 type Bank struct {
@@ -14,33 +18,34 @@ type Bank struct {
 	Ways      int
 	LineBytes int
 	numSets   int
-	sets      [][]line
-	clock     uint64 // LRU timestamp source
+	// lines holds every set's ways back to back: set i is
+	// lines[i*Ways : (i+1)*Ways].
+	lines []line
+	clock uint64 // LRU timestamp source
 
 	// Stats.
 	Hits, Misses, Evictions, Writebacks uint64
 }
 
+// line is one way. Its data buffer is allocated on the way's first fill and
+// overwritten in place by every later one, so a bank that touches few lines
+// stays small and a busy one stops allocating once its ways are warm.
 type line struct {
 	valid, dirty bool
 	tag          uint64 // full line address (addr with offset bits cleared)
-	data         []byte
+	data         *[LineBytes]byte
 	lastUse      uint64
 }
 
 // NewBank builds a bank. sizeBytes must be ways*lineBytes*numSets for a
-// power-of-two numSets.
+// power-of-two numSets, and lineBytes at most LineBytes.
 func NewBank(sizeBytes, ways, lineBytes int) *Bank {
 	numSets := sizeBytes / (ways * lineBytes)
-	if numSets <= 0 || numSets*ways*lineBytes != sizeBytes || numSets&(numSets-1) != 0 {
+	if lineBytes > LineBytes || numSets <= 0 || numSets*ways*lineBytes != sizeBytes || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %dB/%dway/%dB-line", sizeBytes, ways, lineBytes))
 	}
-	b := &Bank{SizeBytes: sizeBytes, Ways: ways, LineBytes: lineBytes, numSets: numSets}
-	b.sets = make([][]line, numSets)
-	for i := range b.sets {
-		b.sets[i] = make([]line, ways)
-	}
-	return b
+	return &Bank{SizeBytes: sizeBytes, Ways: ways, LineBytes: lineBytes, numSets: numSets,
+		lines: make([]line, numSets*ways)}
 }
 
 // LineAddr returns addr with the line-offset bits cleared.
@@ -48,7 +53,7 @@ func (b *Bank) LineAddr(addr uint64) uint64 { return addr &^ uint64(b.LineBytes-
 
 func (b *Bank) set(addr uint64) []line {
 	idx := int(addr/uint64(b.LineBytes)) & (b.numSets - 1)
-	return b.sets[idx]
+	return b.lines[idx*b.Ways : (idx+1)*b.Ways]
 }
 
 func (b *Bank) find(addr uint64) *line {
@@ -65,15 +70,17 @@ func (b *Bank) find(addr uint64) *line {
 // Probe reports whether addr hits without updating LRU or stats.
 func (b *Bank) Probe(addr uint64) bool { return b.find(addr) != nil }
 
-// access is the hit path shared by the reads: it returns the n bytes at addr
-// inside the resident line, counting the access and refreshing its LRU
-// stamp, or nil on a miss. The access must not cross a line boundary; callers
-// split line-crossing accesses.
-func (b *Bank) access(addr uint64, n int) []byte {
+// Read returns the n bytes at addr inside the resident line, counting the
+// access and refreshing its LRU stamp, or (nil, false) on a miss. The slice
+// is lent, not copied: it aliases the line and is valid until the bank's
+// next Write, Fill or LoadState, so a caller that keeps the bytes copies
+// them. The access must not cross a line boundary; callers split
+// line-crossing accesses.
+func (b *Bank) Read(addr uint64, n int) ([]byte, bool) {
 	ln := b.find(addr)
 	if ln == nil {
 		b.Misses++
-		return nil
+		return nil, false
 	}
 	b.Hits++
 	b.clock++
@@ -82,23 +89,14 @@ func (b *Bank) access(addr uint64, n int) []byte {
 	if off+n > b.LineBytes {
 		panic(fmt.Sprintf("cache: read of %d bytes at %#x crosses a %dB line", n, addr, b.LineBytes))
 	}
-	return ln.data[off : off+n]
-}
-
-// Read copies n bytes at addr out of the bank. The access must hit.
-func (b *Bank) Read(addr uint64, n int) ([]byte, bool) {
-	in := b.access(addr, n)
-	if in == nil {
-		return nil, false
-	}
-	return append(make([]byte, 0, n), in...), true
+	return ln.data[off : off+n], true
 }
 
 // ReadUint reads n <= 8 bytes at addr as a little-endian integer — a load's
-// view of the bank — without copying them out first.
+// view of the bank.
 func (b *Bank) ReadUint(addr uint64, n int) (uint64, bool) {
-	in := b.access(addr, n)
-	if in == nil {
+	in, ok := b.Read(addr, n)
+	if !ok {
 		return 0, false
 	}
 	var v uint64
@@ -127,15 +125,18 @@ func (b *Bank) Write(addr uint64, data []byte) bool {
 	return true
 }
 
-// Victim describes a dirty line displaced by a Fill.
+// Victim describes a dirty line displaced by a Fill. It carries the line's
+// bytes by value (the first LineBytes of the bank's line size are
+// meaningful), because the displacing fill reuses the way's buffer.
 type Victim struct {
 	Addr  uint64
-	Data  []byte
+	Data  [LineBytes]byte
 	Valid bool
 }
 
 // Fill installs a full line (len(data) == LineBytes) for addr, returning
-// the displaced dirty victim if any. The new line is installed clean.
+// the displaced dirty victim if any. The new line is installed clean, its
+// bytes copied into the way's buffer.
 func (b *Bank) Fill(addr uint64, data []byte) Victim {
 	if len(data) != b.LineBytes {
 		panic(fmt.Sprintf("cache: fill with %d bytes, line is %d", len(data), b.LineBytes))
@@ -160,22 +161,23 @@ func (b *Bank) Fill(addr uint64, data []byte) Victim {
 		b.Evictions++
 		if victim.dirty {
 			b.Writebacks++
-			out = Victim{Addr: victim.tag, Data: victim.data, Valid: true}
+			out = Victim{Addr: victim.tag, Data: *victim.data, Valid: true}
 		}
 	}
 	b.clock++
-	nd := make([]byte, b.LineBytes)
-	copy(nd, data)
-	*victim = line{valid: true, tag: la, data: nd, lastUse: b.clock}
+	if victim.data == nil {
+		victim.data = new([LineBytes]byte)
+	}
+	copy(victim.data[:], data)
+	victim.valid, victim.dirty, victim.tag, victim.lastUse = true, false, la, b.clock
 	return out
 }
 
 // InvalidateAll clears the bank (used when reconfiguring the NUCA array).
+// The ways keep their buffers for the next fills.
 func (b *Bank) InvalidateAll() {
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			b.sets[i][j] = line{}
-		}
+	for i := range b.lines {
+		b.lines[i] = line{data: b.lines[i].data}
 	}
 }
 
@@ -183,12 +185,9 @@ func (b *Bank) InvalidateAll() {
 // flush write-back state at simulation end so memory holds final results.
 func (b *Bank) DirtyLines() []Victim {
 	var out []Victim
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			ln := &b.sets[i][j]
-			if ln.valid && ln.dirty {
-				out = append(out, Victim{Addr: ln.tag, Data: ln.data, Valid: true})
-			}
+	for i := range b.lines {
+		if ln := &b.lines[i]; ln.valid && ln.dirty {
+			out = append(out, Victim{Addr: ln.tag, Data: *ln.data, Valid: true})
 		}
 	}
 	return out

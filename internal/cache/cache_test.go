@@ -3,9 +3,11 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"trips/internal/ckpt"
 	"trips/internal/mem"
 )
 
@@ -95,7 +97,7 @@ func TestQuickBankMirrorsMemory(t *testing.T) {
 					// Miss: fill from backing then retry.
 					la := b.LineAddr(addr)
 					if v := b.Fill(la, backing.ReadBytes(la, 64)); v.Valid {
-						backing.WriteBytes(v.Addr, v.Data)
+						backing.WriteBytes(v.Addr, v.Data[:])
 					}
 					if !b.Write(addr, []byte{val}) {
 						return false
@@ -108,7 +110,7 @@ func TestQuickBankMirrorsMemory(t *testing.T) {
 			if !ok {
 				la := b.LineAddr(addr)
 				if v := b.Fill(la, backing.ReadBytes(la, 64)); v.Valid {
-					backing.WriteBytes(v.Addr, v.Data)
+					backing.WriteBytes(v.Addr, v.Data[:])
 				}
 				got, ok = b.Read(addr, 1)
 				if !ok {
@@ -125,7 +127,7 @@ func TestQuickBankMirrorsMemory(t *testing.T) {
 		}
 		// Flush dirty lines; backing must equal golden over the region.
 		for _, v := range b.DirtyLines() {
-			backing.WriteBytes(v.Addr, v.Data)
+			backing.WriteBytes(v.Addr, v.Data[:])
 		}
 		for a := uint64(0); a < 1<<14; a += 7 {
 			if backing.Read(a, 1, false) != golden.Read(a, 1, false) {
@@ -203,5 +205,91 @@ func TestMemoryReadWriteWidths(t *testing.T) {
 	// Unwritten memory reads as zero.
 	if got := m.Read(0x999000, 8, false); got != 0 {
 		t.Errorf("fresh memory = %#x", got)
+	}
+	// ReadInto overwrites the whole buffer, also over a page never written.
+	buf := []byte{9, 9, 9, 9}
+	m.ReadInto(0x2FFE, buf)
+	if !bytes.Equal(buf, []byte{0, 0, 0, 0}) {
+		t.Errorf("ReadInto over an unwritten page = %v", buf)
+	}
+}
+
+// TestSteadyStateAllocs pins the bank and MSHR hot paths: a fill into a way
+// that was filled before overwrites its buffer in place (dirty victim
+// included), a read copies into the caller's buffer, and an MSHR
+// allocate/complete cycle reuses its entries — none of them allocates.
+func TestSteadyStateAllocs(t *testing.T) {
+	b := NewBank(2*64, 2, 64) // one set, two ways
+	line := make([]byte, 64)
+	b.Fill(0x0, line)
+	b.Fill(0x40, line)
+	next := uint64(0x80)
+	if a := testing.AllocsPerRun(100, func() {
+		b.Write(next-0x40, []byte{1}) // dirty the MRU line so a later fill evicts it dirty
+		b.Fill(next, line)
+		next += 0x40
+	}); a != 0 {
+		t.Errorf("Fill into a warm way: %.1f allocs, want 0", a)
+	}
+	if b.Writebacks == 0 {
+		t.Error("no fill evicted a dirty line")
+	}
+	var buf [8]byte
+	if a := testing.AllocsPerRun(100, func() {
+		if got, ok := b.Read(next-0x40, 8); ok {
+			copy(buf[:], got)
+		}
+	}); a != 0 {
+		t.Errorf("Read into a caller's buffer: %.1f allocs, want 0", a)
+	}
+	m := NewMSHR(4, 16)
+	waiter := new(int)
+	if a := testing.AllocsPerRun(100, func() {
+		for la := uint64(0); la < 4*64; la += 64 {
+			m.Allocate(la, waiter)
+			m.Allocate(la, waiter)
+		}
+		for la := uint64(0); la < 4*64; la += 64 {
+			if len(m.Complete(la)) != 2 {
+				t.Fatal("MSHR lost a waiter")
+			}
+		}
+	}); a != 0 {
+		t.Errorf("MSHR Allocate/Complete: %.1f allocs, want 0", a)
+	}
+}
+
+// TestMSHROrderAndSave checks that waiters come back in allocation order and
+// that a checkpoint lists lines in ascending address order whatever entries
+// they occupy.
+func TestMSHROrderAndSave(t *testing.T) {
+	m := NewMSHR(4, 16)
+	m.Allocate(0x300, 1)
+	m.Allocate(0x100, 2)
+	m.Allocate(0x300, 3)
+	m.Complete(0x300)
+	m.Allocate(0x200, 4) // takes the freed entry, ahead of 0x100's
+	m.Allocate(0x200, 5)
+	var w ckpt.Writer
+	m.SaveState(&w, func(w *ckpt.Writer, v any) { w.Int(v.(int)) })
+	r := ckpt.NewReader(w.Payload())
+	r.Section("mshr")
+	var got []int
+	for n := r.Int(); n > 0; n-- {
+		got = append(got, int(r.U64()))
+		for k := r.Int(); k > 0; k-- {
+			got = append(got, r.Int())
+		}
+	}
+	if want := []int{0x100, 2, 0x200, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("saved MSHR = %#x, want %#x", got, want)
+	}
+	m2 := NewMSHR(4, 16)
+	m2.LoadState(ckpt.NewReader(w.Payload()), func(r *ckpt.Reader) any { return r.Int() })
+	if ws := m2.Complete(0x200); len(ws) != 2 || ws[0] != 4 || ws[1] != 5 {
+		t.Errorf("restored waiters = %v, want [4 5]", ws)
+	}
+	if !m2.Pending(0x100) || m2.Outstanding() != 1 {
+		t.Errorf("restored MSHR: pending(0x100)=%v outstanding=%d", m2.Pending(0x100), m2.Outstanding())
 	}
 }

@@ -17,18 +17,16 @@ func (b *Bank) SaveState(w *ckpt.Writer) {
 	w.U64(b.Misses)
 	w.U64(b.Evictions)
 	w.U64(b.Writebacks)
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			ln := &b.sets[i][j]
-			w.Bool(ln.valid)
-			if !ln.valid {
-				continue
-			}
-			w.Bool(ln.dirty)
-			w.U64(ln.tag)
-			w.U64(ln.lastUse)
-			w.Bytes(ln.data)
+	for i := range b.lines {
+		ln := &b.lines[i]
+		w.Bool(ln.valid)
+		if !ln.valid {
+			continue
 		}
+		w.Bool(ln.dirty)
+		w.U64(ln.tag)
+		w.U64(ln.lastUse)
+		w.Bytes(ln.data[:b.LineBytes])
 	}
 }
 
@@ -40,39 +38,49 @@ func (b *Bank) LoadState(r *ckpt.Reader) {
 	b.Misses = r.U64()
 	b.Evictions = r.U64()
 	b.Writebacks = r.U64()
-	for i := range b.sets {
-		for j := range b.sets[i] {
-			ln := &b.sets[i][j]
-			*ln = line{}
-			ln.valid = r.Bool()
-			if !ln.valid {
-				continue
-			}
-			ln.dirty = r.Bool()
-			ln.tag = r.U64()
-			ln.lastUse = r.U64()
-			ln.data = r.Bytes()
+	for i := range b.lines {
+		ln := &b.lines[i]
+		*ln = line{data: ln.data}
+		ln.valid = r.Bool()
+		if !ln.valid {
+			continue
 		}
+		ln.dirty = r.Bool()
+		ln.tag = r.U64()
+		ln.lastUse = r.U64()
+		data := r.Bytes()
+		if r.Err() != nil {
+			return
+		}
+		if len(data) != b.LineBytes {
+			r.Failf("cache: line %#x has %d bytes, bank lines are %d", ln.tag, len(data), b.LineBytes)
+			return
+		}
+		if ln.data == nil {
+			ln.data = new([LineBytes]byte)
+		}
+		copy(ln.data[:], data)
 	}
 }
 
 // SaveState serializes the MSHR. Waiters are opaque to this package, so the
 // caller supplies an encoder invoked once per waiter; lines are written in
-// ascending line-address order for determinism. Waiter slice order within a
-// line is preserved (it is the service order on fill).
+// ascending line-address order for determinism. Waiter order within a line
+// is preserved (it is the service order on fill).
 func (m *MSHR) SaveState(w *ckpt.Writer, enc func(*ckpt.Writer, any)) {
 	w.Section("mshr")
-	lines := make([]uint64, 0, len(m.entries))
-	for la := range m.entries {
-		lines = append(lines, la)
+	live := make([]*mshrEntry, 0, m.lines)
+	for i := range m.entries {
+		if m.entries[i].valid {
+			live = append(live, &m.entries[i])
+		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.Int(len(lines))
-	for _, la := range lines {
-		w.U64(la)
-		ws := m.entries[la]
-		w.Int(len(ws))
-		for _, waiter := range ws {
+	sort.Slice(live, func(i, j int) bool { return live[i].line < live[j].line })
+	w.Int(len(live))
+	for _, e := range live {
+		w.U64(e.line)
+		w.Int(len(e.waiters))
+		for _, waiter := range e.waiters {
 			enc(w, waiter)
 		}
 	}
@@ -81,23 +89,32 @@ func (m *MSHR) SaveState(w *ckpt.Writer, enc func(*ckpt.Writer, any)) {
 // LoadState restores the MSHR, decoding each waiter with dec.
 func (m *MSHR) LoadState(r *ckpt.Reader, dec func(*ckpt.Reader) any) {
 	r.Section("mshr")
-	m.entries = make(map[uint64][]any)
-	m.requests = 0
+	for i := range m.entries {
+		m.entries[i].valid = false
+		clear(m.entries[i].waiters)
+		m.entries[i].waiters = m.entries[i].waiters[:0]
+	}
+	m.lines, m.requests = 0, 0
 	n := r.Int()
 	if r.Err() != nil {
 		return
 	}
+	if n > len(m.entries) {
+		r.Failf("cache: MSHR checkpoint has %d lines, capacity %d", n, len(m.entries))
+		return
+	}
 	for i := 0; i < n; i++ {
-		la := r.U64()
+		e := &m.entries[i]
+		e.line = r.U64()
 		cnt := r.Int()
 		if r.Err() != nil {
 			return
 		}
-		ws := make([]any, 0, cnt)
 		for j := 0; j < cnt; j++ {
-			ws = append(ws, dec(r))
+			e.waiters = append(e.waiters, dec(r))
 		}
-		m.entries[la] = ws
+		e.valid = true
+		m.lines++
 		m.requests += cnt
 	}
 }

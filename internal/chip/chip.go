@@ -396,9 +396,12 @@ type DMA struct {
 	src, dst uint64
 	left     int
 	inFlight bool
-	buf      []byte
-	phase    int // 0 idle, 1 reading, 2 writing
-	Moved    uint64
+	// buf is the line in transit between the read and the write: it
+	// aliases line, which holds a copy of the read's lent data.
+	buf   []byte
+	line  [nuca.LineBytes]byte
+	phase int // 0 idle, 1 reading, 2 writing
+	Moved uint64
 	// Completions counts finished line transfers (read + write round trips).
 	Completions uint64
 
@@ -412,7 +415,7 @@ type DMA struct {
 // are methods (not closure bodies) so a checkpoint restore can rebuild the
 // Done callback of an in-flight request to the exact live behavior.
 func (d *DMA) onReadDone(data []byte) {
-	d.buf = data
+	d.buf = d.line[:copy(d.line[:], data)]
 	d.inFlight = false
 	d.phase = 2
 }

@@ -42,15 +42,50 @@ type FlightOptions struct {
 // disarmed recorder whose methods are all no-ops, so RunTRIPS calls them
 // unconditionally.
 type flightRun struct {
-	rec       *flight.Recorder
-	t         *trips
-	interval  int64
-	trigCycle int64  // dump-on cycle=N
-	trigBlock uint64 // dump-on block=N
-	dumpEnd   bool
-	fired     bool // the explicit trigger dumped already
-	dirs      []string
-	dumpErr   error
+	rec      *flight.Recorder
+	t        *trips
+	interval int64
+	trig     DumpTrigger
+	fired    bool // the explicit trigger dumped already
+	dirs     []string
+	dumpErr  error
+}
+
+// DumpTrigger is a parsed FlightOptions.DumpOn: dump at the end of a
+// successful run, at the first commit boundary with at least Block blocks
+// committed, or at the first commit boundary at or past Cycle. The zero
+// value arms no trigger.
+type DumpTrigger struct {
+	End   bool
+	Block uint64
+	Cycle int64
+}
+
+// ParseDumpOn parses a DumpOn value: "" (no trigger), "end", "block=N" or
+// "cycle=N", with N positive. Front ends call it while checking their flags,
+// so a bad value is refused before any machine is built.
+func ParseDumpOn(s string) (DumpTrigger, error) {
+	var t DumpTrigger
+	switch {
+	case s == "":
+	case s == "end":
+		t.End = true
+	case strings.HasPrefix(s, "block="):
+		n, err := strconv.ParseUint(s[len("block="):], 10, 64)
+		if err != nil || n == 0 {
+			return t, fmt.Errorf("bad -dump-on %q: want block=<positive count>", s)
+		}
+		t.Block = n
+	case strings.HasPrefix(s, "cycle="):
+		n, err := strconv.ParseInt(s[len("cycle="):], 10, 64)
+		if err != nil || n <= 0 {
+			return t, fmt.Errorf("bad -dump-on %q: want cycle=<positive cycle>", s)
+		}
+		t.Cycle = n
+	default:
+		return t, fmt.Errorf("unknown -dump-on trigger %q: want end, block=N, or cycle=N", s)
+	}
+	return t, nil
 }
 
 // newFlightRun validates opt.Flight and builds the recorder. It may mutate
@@ -71,24 +106,9 @@ func newFlightRun(spec *workloads.Spec, opt *TRIPSOptions) (*flightRun, error) {
 	if f.interval <= 0 {
 		f.interval = 50_000
 	}
-	switch {
-	case fo.DumpOn == "":
-	case fo.DumpOn == "end":
-		f.dumpEnd = true
-	case strings.HasPrefix(fo.DumpOn, "block="):
-		n, err := strconv.ParseUint(fo.DumpOn[len("block="):], 10, 64)
-		if err != nil || n == 0 {
-			return nil, fmt.Errorf("eval: bad -dump-on %q: want block=<positive count>", fo.DumpOn)
-		}
-		f.trigBlock = n
-	case strings.HasPrefix(fo.DumpOn, "cycle="):
-		n, err := strconv.ParseInt(fo.DumpOn[len("cycle="):], 10, 64)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("eval: bad -dump-on %q: want cycle=<positive cycle>", fo.DumpOn)
-		}
-		f.trigCycle = n
-	default:
-		return nil, fmt.Errorf("eval: bad -dump-on %q: want end, block=N, or cycle=N", fo.DumpOn)
+	var err error
+	if f.trig, err = ParseDumpOn(fo.DumpOn); err != nil {
+		return nil, fmt.Errorf("eval: %w", err)
 	}
 	bench := fo.Bench
 	if bench == "" {
@@ -205,28 +225,28 @@ func (f *flightRun) bind(t *trips, opt TRIPSOptions) {
 		if err := f.rec.Capture(cycle); err != nil {
 			return err
 		}
-		if !f.fired && f.trigBlock > 0 && t.core.CommittedBlocks >= f.trigBlock {
+		if !f.fired && f.trig.Block > 0 && t.core.CommittedBlocks >= f.trig.Block {
 			f.fired = true
-			f.dump(fmt.Sprintf("block=%d", f.trigBlock),
+			f.dump(fmt.Sprintf("block=%d", f.trig.Block),
 				fmt.Sprintf("%d blocks committed at commit boundary cycle %d", t.core.CommittedBlocks, cycle), cycle)
 		}
-		if !f.fired && f.trigCycle > 0 && cycle >= f.trigCycle {
+		if !f.fired && f.trig.Cycle > 0 && cycle >= f.trig.Cycle {
 			f.fired = true
-			f.dump(fmt.Sprintf("cycle=%d", f.trigCycle),
+			f.dump(fmt.Sprintf("cycle=%d", f.trig.Cycle),
 				fmt.Sprintf("commit boundary cycle %d reached trigger", cycle), cycle)
 		}
 		next := cycle + f.interval
 		// Land a capture right on the cycle trigger so the dumped window
 		// starts as close to it as a commit boundary allows.
-		if f.trigCycle > cycle && f.trigCycle < next {
-			next = f.trigCycle
+		if f.trig.Cycle > cycle && f.trig.Cycle < next {
+			next = f.trig.Cycle
 		}
 		t.core.SetCheckpointHook(next, fire)
 		return nil
 	}
 	first := f.interval
-	if f.trigCycle > 0 && f.trigCycle < first {
-		first = f.trigCycle
+	if f.trig.Cycle > 0 && f.trig.Cycle < first {
+		first = f.trig.Cycle
 	}
 	t.core.SetCheckpointHook(first, fire)
 	if sm := opt.Metrics; sm != nil {
@@ -270,7 +290,7 @@ func (f *flightRun) finish() {
 	if f.rec == nil {
 		return
 	}
-	if f.dumpEnd {
+	if f.trig.End {
 		f.dump(flight.TriggerEnd, "run completed", f.t.core.Cycle())
 	}
 }

@@ -31,19 +31,28 @@ func (m *Memory) page(addr uint64, create bool) []byte {
 	return p
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice. Unwritten
+// ReadInto fills dst with the len(dst) bytes starting at addr. Unwritten
 // memory reads as zero.
-func (m *Memory) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
+func (m *Memory) ReadInto(addr uint64, dst []byte) {
+	n := len(dst)
 	for i := 0; i < n; {
 		a := addr + uint64(i)
 		off := int(a & (1<<pageBits - 1))
 		chunk := min(n-i, 1<<pageBits-off)
 		if p := m.page(a, false); p != nil {
-			copy(out[i:i+chunk], p[off:off+chunk])
+			copy(dst[i:i+chunk], p[off:off+chunk])
+		} else {
+			clear(dst[i : i+chunk])
 		}
 		i += chunk
 	}
+}
+
+// ReadBytes returns a fresh copy of the n bytes starting at addr, for tools
+// and tests that keep what they read; the simulator reads with ReadInto.
+func (m *Memory) ReadBytes(addr uint64, n int) []byte {
+	out := make([]byte, n)
+	m.ReadInto(addr, out)
 	return out
 }
 
@@ -62,7 +71,8 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) {
 // Read loads a width-byte little-endian value (width 1, 2, 4 or 8),
 // optionally sign-extending it to 64 bits.
 func (m *Memory) Read(addr uint64, width int, signed bool) uint64 {
-	b := m.ReadBytes(addr, width)
+	var b [8]byte
+	m.ReadInto(addr, b[:width])
 	var v uint64
 	for i := width - 1; i >= 0; i-- {
 		v = v<<8 | uint64(b[i])
@@ -76,11 +86,11 @@ func (m *Memory) Read(addr uint64, width int, signed bool) uint64 {
 
 // Write stores the low width bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint64, width int, v uint64) {
-	b := make([]byte, width)
+	var b [8]byte
 	for i := 0; i < width; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-	m.WriteBytes(addr, b)
+	m.WriteBytes(addr, b[:width])
 }
 
 func min(a, b int) int {

@@ -83,12 +83,14 @@ const (
 // ocnMsg is one OCN transaction. Multi-flit payloads are modeled as a
 // serialization delay added at delivery (flits - 1 cycles), a documented
 // approximation of wormhole flit pipelining.
+//
+// A message carries its payload (at most one line) in its own buffer, so it
+// holds no pointers: the pooled shell is reused whole, payload included.
 type ocnMsg struct {
 	dst    micronet.Coord
 	kind   msgKind
 	addr   uint64
 	n      int
-	data   []byte
 	write  bool
 	id     int
 	origin micronet.Coord // requester NT for the reply
@@ -97,7 +99,34 @@ type ocnMsg struct {
 	hops   int
 	waits  int
 	tid    uint64 // trace id stamped by a traced mesh at Inject
+	// hasData marks a message that carries a payload; the payload is
+	// buf[:dlen].
+	hasData bool
+	dlen    uint8
+	buf     [LineBytes]byte
 }
+
+// data returns the payload, or nil for a message without one. The slice
+// aliases the message, so it is valid until the message is freed.
+func (m *ocnMsg) data() []byte {
+	if !m.hasData {
+		return nil
+	}
+	return m.buf[:m.dlen]
+}
+
+// payload marks the message as carrying n bytes and returns the buffer that
+// holds them, for the caller to fill.
+func (m *ocnMsg) payload(n int) []byte {
+	if n > LineBytes {
+		panic(fmt.Sprintf("nuca: %d-byte payload exceeds a %d-byte line", n, LineBytes))
+	}
+	m.hasData, m.dlen = true, uint8(n)
+	return m.buf[:n]
+}
+
+// setData copies b in as the message's payload.
+func (m *ocnMsg) setData(b []byte) { copy(m.payload(len(b)), b) }
 
 func (m *ocnMsg) Dest() micronet.Coord { return m.dst }
 func (m *ocnMsg) NoteHop()             { m.hops++ }
@@ -150,10 +179,9 @@ type ntPort struct {
 
 // outItem is a staged transaction awaiting injection. Submit builds the
 // message but leaves the transaction id unassigned and the system-wide
-// pending tables untouched: ports are driven from per-core step code, which
-// the chip may run in parallel goroutines, so Submit must touch only
-// port-local state. Ids are assigned and pending entries registered when the
-// serial Tick drains the queue, in fixed port order.
+// pending tables untouched: ids are assigned and pending entries registered
+// when Tick drains the queue, in fixed port order, so they do not depend on
+// which core submitted first within a cycle.
 type outItem struct {
 	msg    *ocnMsg
 	req    *proc.MemRequest
@@ -206,17 +234,17 @@ func (p *ntPort) Submit(req *proc.MemRequest) bool {
 }
 
 // submitPart stages one line-contained transaction. pd is nil for unsplit
-// requests. route() reads only construction-time state, so this is safe
-// from a parallel core step.
+// requests. A write's bytes are copied into the message here, so the caller
+// may reuse its buffer as soon as Submit returns.
 func (p *ntPort) submitPart(req *proc.MemRequest, pd *pending, addr uint64, n, off int) {
-	mt := p.sys.route(p.half, addr)
-	msg := &ocnMsg{
-		dst: mt, kind: mkReq, addr: addr, n: n,
+	msg := p.sys.newMsg()
+	*msg = ocnMsg{
+		dst: p.sys.route(p.half, addr), kind: mkReq, addr: addr, n: n,
 		write: req.IsWrite, origin: p.at,
 		flits: 1 + (n+FlitBytes-1)/FlitBytes,
 	}
-	if req.IsWrite {
-		msg.data = req.Data[off : off+n]
+	if req.IsWrite && req.Data != nil {
+		msg.setData(req.Data[off : off+n])
 	}
 	var stamp int64
 	switch {
@@ -233,13 +261,8 @@ func (p *ntPort) submitPart(req *proc.MemRequest, pd *pending, addr uint64, n, o
 	}
 	p.outQ.Push(outItem{msg: msg, req: req, pd: pd, off: off, n: n, stamp: stamp})
 	if p.owner >= 0 {
-		// Owner counters are per-port-owner cells: each core goroutine only
-		// touches its own cell, and drains (which decrement) run in the
-		// serial memory phase, barrier-ordered against core steps.
 		p.sys.stagedByOwner[p.owner]++
 	} else {
-		// Unowned (DMA) ports submit from the serial chip phase only, so a
-		// plain shared counter is safe.
 		p.sys.stagedUnowned++
 	}
 }
@@ -253,9 +276,12 @@ type mtState struct {
 	// sdcDist is the Manhattan distance to this MT's nearest SDC,
 	// precomputed at construction for the fill-deadline terms.
 	sdcDist int64
-	// Single-entry MSHR (Section 3.6): one outstanding SDC fetch.
+	// Single-entry MSHR (Section 3.6): one outstanding SDC fetch. spare is
+	// the waiter list's other backing array: a fill replays the waiters from
+	// one while new misses queue on the other.
 	busy     bool
 	waiters  []*ocnMsg
+	spare    []*ocnMsg
 	waitLine uint64
 	// fillDeadline, while busy, is a lower bound (backend cycles) on the
 	// tick at which the in-flight SDC fetch can install its line: staged
@@ -292,11 +318,9 @@ type System struct {
 	cycle     int64
 	// delivery delay queue for multi-flit serialization
 	delayed []delayedMsg
-	// free is the ocnMsg recycle list. Messages created and consumed inside
-	// the serial Tick/dispatch path (responses, SDC traffic) cycle through
-	// it; Submit-side request shells may enter it when consumed but are
-	// never taken from it, because Submit runs on parallel core goroutines
-	// while the pool is serial-only.
+	// free is the ocnMsg recycle list: every message, request or response,
+	// is taken from it and returns to it once consumed, so it holds at most
+	// the peak number of messages in flight.
 	free []*ocnMsg
 	// inTick is set for the duration of the serial Tick so submissions
 	// issued from inside Done callbacks (serviced by this very tick) can be
@@ -306,8 +330,7 @@ type System struct {
 	// mtStaged counts staged messages across all MT output queues, and
 	// stagedUnowned counts staged port transactions on unowned (DMA) ports;
 	// together with the per-owner staging cells they make the empty-queue
-	// checks in Tick and horizon O(1). Unowned ports submit only from the
-	// serial chip phase, so a plain counter is race-free.
+	// checks in Tick and horizon O(1).
 	mtStaged      int
 	stagedUnowned int64
 
@@ -353,24 +376,20 @@ type System struct {
 	metrics *obs.Sampler
 }
 
-// newMsg takes a recycled message shell from the pool (serial contexts
-// only) and freeMsg returns a fully consumed one, dropping its payload
-// reference. Callers always overwrite every field on allocation, so reuse
-// cannot leak state between transactions.
+// newMsg takes a recycled message shell from the pool and freeMsg returns a
+// fully consumed one. A shell is not cleared on the way back: it holds no
+// pointers, and every taker overwrites the whole struct, so reuse cannot
+// leak state between transactions.
 func (s *System) newMsg() *ocnMsg {
 	if n := len(s.free); n > 0 {
 		m := s.free[n-1]
-		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return m
 	}
 	return &ocnMsg{}
 }
 
-func (s *System) freeMsg(m *ocnMsg) {
-	*m = ocnMsg{}
-	s.free = append(s.free, m)
-}
+func (s *System) freeMsg(m *ocnMsg) { s.free = append(s.free, m) }
 
 // mtPush stages a message on an MT output queue, keeping the system-wide
 // staged count that lets Tick and horizon skip the per-MT scan when every
@@ -746,17 +765,17 @@ func (s *System) Tick() {
 			}
 			m := j.msg
 			if m.write {
-				s.cfg.Backing.WriteBytes(m.addr, m.data)
+				s.cfg.Backing.WriteBytes(m.addr, m.data())
 				s.freeMsg(m)
 				continue
 			}
 			resp := s.newMsg()
 			*resp = ocnMsg{
-				dst: m.mt, kind: mkSDCResp, addr: m.addr, n: m.n,
-				data: s.cfg.Backing.ReadBytes(m.addr, m.n), id: m.id,
+				dst: m.mt, kind: mkSDCResp, addr: m.addr, n: m.n, id: m.id,
 				origin: m.origin, mt: m.mt,
 				flits: 1 + (m.n+FlitBytes-1)/FlitBytes,
 			}
+			s.cfg.Backing.ReadInto(m.addr, resp.payload(m.n))
 			if !s.mesh.Inject(s.sdcs[sdc], resp) {
 				s.freeMsg(resp)
 				still = append(still, sdcJob{msg: m, readyAt: s.cycle + 1})
@@ -778,9 +797,8 @@ func (s *System) Tick() {
 			}
 		}
 	}
-	// Port output queues: transaction ids are assigned here, at the serial
-	// drain in fixed port order, so Submit stays safe from parallel core
-	// steps. Ids are correlation keys only (map lookups, echoed in
+	// Port output queues: transaction ids are assigned here, at the drain in
+	// fixed port order. Ids are correlation keys only (map lookups, echoed in
 	// responses), so the assignment point does not affect simulated timing.
 	// Stamped items (bounded-lag cores that ran ahead) wait until the
 	// backend clock passes their stamp, replaying the sequential injection
@@ -966,7 +984,7 @@ func (s *System) dispatch(msg *ocnMsg) {
 			s.respArrived(pd.port)
 			pt := pd.parts[msg.id]
 			if !pd.req.IsWrite {
-				copy(pd.buf[pt.off:pt.off+pt.n], msg.data)
+				copy(pd.buf[pt.off:pt.off+pt.n], msg.data())
 			}
 			pd.left--
 			if pd.left == 0 && pd.req.Done != nil {
@@ -982,7 +1000,7 @@ func (s *System) dispatch(msg *ocnMsg) {
 		delete(s.pending, msg.id)
 		s.respArrived(p.port)
 		if p.req.Done != nil {
-			p.req.Done(msg.data)
+			p.req.Done(msg.data()) // lent: the shell is freed right after
 		}
 		s.freeMsg(msg)
 	}
@@ -1023,23 +1041,14 @@ func (s *System) mtRequest(msg *ocnMsg) {
 		return
 	}
 	if msg.write {
-		if mt.bank.Write(msg.addr, msg.data) {
+		if mt.bank.Write(msg.addr, msg.data()) {
 			mt.Hits++
-			resp := s.newMsg()
-			*resp = ocnMsg{dst: msg.origin, kind: mkResp, id: msg.id, flits: 1}
-			s.mtPush(mt, resp)
-			s.freeMsg(msg)
+			s.respond(mt, msg, nil)
 			return
 		}
-	} else if data, ok := s.bankRead(mt, msg.addr, msg.n); ok {
+	} else if data, ok := mt.bank.Read(msg.addr, msg.n); ok {
 		mt.Hits++
-		resp := s.newMsg()
-		*resp = ocnMsg{
-			dst: msg.origin, kind: mkResp, id: msg.id, data: data,
-			flits: 1 + (msg.n+FlitBytes-1)/FlitBytes,
-		}
-		s.mtPush(mt, resp)
-		s.freeMsg(msg)
+		s.respond(mt, msg, data)
 		return
 	}
 	// Miss: single-entry MSHR — a second missing line stalls behind the
@@ -1093,71 +1102,65 @@ func (s *System) raiseDeadline(id int, mt *mtState) {
 	}
 }
 
-// bankRead reads n bytes, splitting line-straddling accesses.
-func (s *System) bankRead(mt *mtState, addr uint64, n int) ([]byte, bool) {
-	la := mt.bank.LineAddr(addr)
-	if mt.bank.LineAddr(addr+uint64(n)-1) == la {
-		return mt.bank.Read(addr, n)
+// respond turns a serviced request into its response, in the request's own
+// shell: a write's single-flit acknowledgement, or a read's response
+// carrying a copy of data (lent by the bank).
+func (s *System) respond(mt *mtState, m *ocnMsg, data []byte) {
+	write, flits := m.write, 1
+	if !write {
+		flits = 1 + (m.n+FlitBytes-1)/FlitBytes
 	}
-	first := int(la + LineBytes - addr)
-	d1, ok := mt.bank.Read(addr, first)
-	if !ok {
-		return nil, false
+	*m = ocnMsg{dst: m.origin, kind: mkResp, id: m.id, flits: flits}
+	if !write {
+		m.setData(data)
 	}
-	d2, ok := mt.bank.Read(addr+uint64(first), n-first)
-	if !ok {
-		return nil, false
-	}
-	return append(d1, d2...), true
+	s.mtPush(mt, m)
 }
 
 // mtFill installs a refilled line and replays waiters.
 func (s *System) mtFill(msg *ocnMsg) {
 	mt := s.mtGrid[msg.mt.Row][msg.mt.Col]
-	if v := mt.bank.Fill(msg.addr, msg.data); v.Valid {
+	v := mt.bank.Fill(msg.addr, msg.data())
+	s.freeMsg(msg)
+	if v.Valid {
 		sdc := s.nearestSDC(mt.at)
 		wb := s.newMsg()
-		*wb = ocnMsg{dst: sdc, kind: mkSDCReq, addr: v.Addr, data: v.Data, write: true, flits: 1 + LineBytes/FlitBytes}
+		*wb = ocnMsg{dst: sdc, kind: mkSDCReq, addr: v.Addr, write: true, flits: 1 + LineBytes/FlitBytes}
+		wb.setData(v.Data[:])
 		s.mtPush(mt, wb)
 	}
 	s.LineTransfers++
 	mt.busy = false
 	mt.fillDeadline = 0
+	// Replayed waiters that miss again queue on the spare array; the two
+	// swap roles, so neither is rebuilt.
 	waiters := mt.waiters
-	mt.waiters = nil
+	mt.waiters = mt.spare[:0]
 	for _, w := range waiters {
 		s.mtRequest(w)
 	}
-	s.freeMsg(msg)
+	clear(waiters)
+	mt.spare = waiters[:0]
 }
+
+// zeroLine is the content of a scratchpad line before its first write.
+var zeroLine [LineBytes]byte
 
 // scratchAccess services a scratchpad-mode access: the bank IS the memory
 // for its interleaved slice; untouched lines are zero-filled on first use.
+// Submit splits requests per line, so an access never leaves its line.
 func (s *System) scratchAccess(mt *mtState, msg *ocnMsg) {
 	line := mt.bank.LineAddr(msg.addr)
 	if !mt.bank.Probe(line) {
-		mt.bank.Fill(line, make([]byte, LineBytes))
-	}
-	end := mt.bank.LineAddr(msg.addr + uint64(msg.n) - 1)
-	if end != line && !mt.bank.Probe(end) {
-		mt.bank.Fill(end, make([]byte, LineBytes))
+		mt.bank.Fill(line, zeroLine[:])
 	}
 	if msg.write {
-		mt.bank.Write(msg.addr, msg.data)
-		resp := s.newMsg()
-		*resp = ocnMsg{dst: msg.origin, kind: mkResp, id: msg.id, flits: 1}
-		s.mtPush(mt, resp)
-		s.freeMsg(msg)
+		mt.bank.Write(msg.addr, msg.data())
+		s.respond(mt, msg, nil)
 		return
 	}
-	data, _ := s.bankRead(mt, msg.addr, msg.n)
-	resp := s.newMsg()
-	*resp = ocnMsg{
-		dst: msg.origin, kind: mkResp, id: msg.id, data: data,
-		flits: 1 + (msg.n+FlitBytes-1)/FlitBytes,
-	}
-	s.mtPush(mt, resp)
-	s.freeMsg(msg)
+	data, _ := mt.bank.Read(msg.addr, msg.n)
+	s.respond(mt, msg, data)
 }
 
 // Flush writes every dirty L2 line back to the backing store (test and
@@ -1168,7 +1171,7 @@ func (s *System) Flush() {
 			continue
 		}
 		for _, v := range mt.bank.DirtyLines() {
-			s.cfg.Backing.WriteBytes(v.Addr, v.Data)
+			s.cfg.Backing.WriteBytes(v.Addr, v.Data[:])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nuca
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func runOne(t *testing.T, s *System, p proc.MemPort, req *proc.MemRequest) (int,
 	fired := false
 	inner := req.Done
 	req.Done = func(data []byte) {
-		got = data
+		got = slices.Clone(data) // the backend lends data for the call only
 		fired = true
 		if inner != nil {
 			inner(data)
@@ -209,7 +210,7 @@ func TestQuickMemorySystemMirrorsFlat(t *testing.T) {
 				}
 			} else {
 				var got []byte
-				req := &proc.MemRequest{Addr: addr, N: LineBytes, Done: func(d []byte) { got = d }}
+				req := &proc.MemRequest{Addr: addr, N: LineBytes, Done: func(d []byte) { got = slices.Clone(d) }}
 				for !p.Submit(req) {
 					s.Tick()
 				}

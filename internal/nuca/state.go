@@ -37,9 +37,9 @@ func encOCNMsg(w *ckpt.Writer, m *ocnMsg) {
 	w.U8(uint8(m.kind))
 	w.U64(m.addr)
 	w.Int(m.n)
-	w.Bool(m.data != nil)
-	if m.data != nil {
-		w.Bytes(m.data)
+	w.Bool(m.hasData)
+	if m.hasData {
+		w.Bytes(m.data())
 	}
 	w.Bool(m.write)
 	w.Int(m.id)
@@ -58,7 +58,11 @@ func decOCNMsg(r *ckpt.Reader) *ocnMsg {
 	m.addr = r.U64()
 	m.n = r.Int()
 	if r.Bool() {
-		m.data = r.Bytes()
+		if b := r.Bytes(); len(b) > LineBytes {
+			r.Failf("nuca: message payload of %d bytes exceeds a %d-byte line", len(b), LineBytes)
+		} else {
+			m.setData(b)
+		}
 	}
 	m.write = r.Bool()
 	m.id = r.Int()

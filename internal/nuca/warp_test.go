@@ -2,6 +2,7 @@ package nuca
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"trips/internal/mem"
@@ -21,7 +22,7 @@ func TestSystemWarpParityOnRoundTrip(t *testing.T) {
 		s = New(Config{Backing: backing})
 		p := s.Port("dt0")
 		var got []byte
-		req := &proc.MemRequest{Addr: 0x4000, N: 8, Done: func(d []byte) { got = d }}
+		req := &proc.MemRequest{Addr: 0x4000, N: 8, Done: func(d []byte) { got = slices.Clone(d) }}
 		if !p.Submit(req) {
 			t.Fatal("submit refused")
 		}
@@ -109,7 +110,7 @@ func TestOutstandingTracksSplitTransactions(t *testing.T) {
 		t.Errorf("after split write: Outstanding() = %d, want 0", n)
 	}
 	var got []byte
-	rd := &proc.MemRequest{Addr: 0x7020, N: 96, Done: func(d []byte) { got = d }}
+	rd := &proc.MemRequest{Addr: 0x7020, N: 96, Done: func(d []byte) { got = slices.Clone(d) }}
 	if !p.Submit(rd) {
 		t.Fatal("submit refused")
 	}

@@ -1283,8 +1283,10 @@ func (c *Core) FlushCaches() error {
 	}
 	outstanding := 0
 	for _, d := range c.dts {
-		for _, v := range d.bank.DirtyLines() {
-			req := &MemRequest{Addr: v.Addr, Data: v.Data, IsWrite: true,
+		dirty := d.bank.DirtyLines()
+		for i := range dirty {
+			v := &dirty[i]
+			req := &MemRequest{Addr: v.Addr, Data: v.Data[:d.bank.LineBytes], IsWrite: true,
 				Done: func([]byte) { outstanding-- }}
 			outstanding++
 			for refused := 0; !d.port.Submit(req); refused++ {

@@ -63,6 +63,7 @@ type dtTile struct {
 	hitQ          []*pendingLoad               // cache accesses completing after dtCacheCycles
 	conflictLoads []*pendingLoad               // loads buffered in the LSQ behind partial overlaps
 	cacheRetry    []*pendingLoad               // loads refused by a full MSHR
+	retrySpare    []*pendingLoad               // cacheRetry's other backing array (see pumpCacheRetry)
 	mshrFreed     bool                         // a line fill since the last retry pass
 	pendingFetch  micronet.Queue[uint64]       // line fetches awaiting a free port
 	gsnOut        micronet.Queue[gsnMsg]       // status messages awaiting a free GSN link
@@ -104,10 +105,14 @@ type dtTile struct {
 	wakeAt int64
 
 	// fetchFree pools line-fetch requests so the hot fill path neither
-	// allocates a MemRequest nor a Done closure per miss; loadFree pools
-	// pendingLoads, recycled by replyLoad.
+	// allocates a MemRequest nor a Done closure per miss; wbFree does the
+	// same for dirty-line write-backs; loadFree pools pendingLoads, recycled
+	// by replyLoad.
 	fetchFree []*dtFetch
+	wbFree    []*dtWriteback
 	loadFree  []*pendingLoad
+	// ucData is the payload of the one uncached store in flight.
+	ucData [8]byte
 
 	// Stats.
 	Loads, Stores, NullStores, Hits, MissesStat, StallsDep, ViolationsStat uint64
@@ -310,14 +315,18 @@ func (d *dtTile) pumpCacheRetry(now int64) {
 		return
 	}
 	d.mshrFreed = false
+	// Loads refused again append to the spare array while this pass walks
+	// the current one; the two arrays swap roles, so neither is rebuilt.
 	retry := d.cacheRetry
-	d.cacheRetry = nil
+	d.cacheRetry = d.retrySpare[:0]
 	for _, pl := range retry {
 		if d.slotSeq[pl.msg.slot] != pl.msg.seq {
 			continue
 		}
 		d.accessCache(now, pl)
 	}
+	clear(retry)
+	d.retrySpare = retry[:0]
 }
 
 // pumpUncached submits uncacheable loads directly to the OCN port.
@@ -495,7 +504,7 @@ func (d *dtTile) accessCache(now int64, pl *pendingLoad) {
 func (d *dtTile) fillLine(line uint64, data []byte) {
 	d.mshrFreed = true
 	if v := d.bank.Fill(line, data); v.Valid {
-		d.writeback(v)
+		d.writeback(&v)
 	}
 	now := d.core.cycle
 	for _, w := range d.mshr.Complete(line) {
@@ -517,8 +526,29 @@ func (d *dtTile) fillLine(line uint64, data []byte) {
 	}
 }
 
-func (d *dtTile) writeback(v cache.Victim) {
-	d.port.Submit(&MemRequest{Addr: v.Addr, Data: v.Data, IsWrite: true})
+// dtWriteback is a pooled dirty-line write-back. The request keeps its own
+// copy of the victim's bytes while it is in flight, because a checkpoint of
+// the backend writes the in-flight request out; Done returns it to the pool.
+type dtWriteback struct {
+	req  MemRequest
+	data [cache.LineBytes]byte
+}
+
+func (d *dtTile) writeback(v *cache.Victim) {
+	var wb *dtWriteback
+	if n := len(d.wbFree); n > 0 {
+		wb, d.wbFree = d.wbFree[n-1], d.wbFree[:n-1]
+	} else {
+		wb = &dtWriteback{}
+		wb.req.Done = func([]byte) { d.wbFree = append(d.wbFree, wb) }
+	}
+	wb.data = v.Data
+	wb.req.Addr = v.Addr
+	wb.req.Data = wb.data[:d.bank.LineBytes]
+	wb.req.IsWrite = true
+	if !d.port.Submit(&wb.req) {
+		d.wbFree = append(d.wbFree, wb)
+	}
 }
 
 // completeHits sends replies for cache accesses whose bank latency elapsed.
@@ -824,8 +854,10 @@ func (d *dtTile) commitStore(st *lsq.Entry) bool {
 		case 1:
 			return false // in flight
 		}
-		// The backend retains Data, so the uncached path must heap-allocate.
-		data := make([]byte, st.Width)
+		// The request outlives this call (the backend holds it, and a
+		// checkpoint writes its Data), so the payload lives in the tile, not
+		// on the stack: only the drain head's store is ever in flight.
+		data := d.ucData[:st.Width]
 		for i := 0; i < st.Width; i++ {
 			data[i] = byte(st.Data >> (8 * i))
 		}

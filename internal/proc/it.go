@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 
 	"trips/internal/isa"
 	"trips/internal/micronet"
@@ -75,13 +76,7 @@ func (it *itTile) tick(now int64) {
 		blockAddr := it.pending.Front()
 		req := &MemRequest{Addr: it.chunkAddr(blockAddr), N: isa.ChunkBytes,
 			Origin: Origin{Kind: OriginITRefill, Tile: it.id},
-			Done: func(data []byte) {
-				it.active = true
-				it.chunks[blockAddr] = &itChunk{raw: data}
-				if st := it.refills[blockAddr]; st != nil {
-					st.ownDone = true
-				}
-			}}
+			Done:   func(data []byte) { it.chunkArrived(blockAddr, data) }}
 		if !it.port.Submit(req) {
 			break
 		}
@@ -135,6 +130,17 @@ func (it *itTile) tick(now int64) {
 	}
 	it.active = !it.pending.Empty() || ready
 	_ = now
+}
+
+// chunkArrived installs a refilled chunk and marks this IT's part of the
+// refill done. The backend lends data for the call only, so the chunk keeps
+// a copy.
+func (it *itTile) chunkArrived(blockAddr uint64, data []byte) {
+	it.active = true
+	it.chunks[blockAddr] = &itChunk{raw: slices.Clone(data)}
+	if st := it.refills[blockAddr]; st != nil {
+		st.ownDone = true
+	}
 }
 
 // headerOf returns the decoded header chunk for a resident block (IT 0).

@@ -16,6 +16,11 @@ type MemRequest struct {
 	IsWrite bool
 	// Done is invoked when the transaction completes; for reads it carries
 	// the data.
+	//
+	// Buffers are lent, never handed over: a read's Done(data) may use data
+	// only for the duration of the call (the backend reuses the buffer, so a
+	// caller that keeps the bytes copies them), and Submit copies a write's
+	// Data before it returns.
 	Done func(data []byte)
 	// Origin identifies the requester and carries enough context to rebuild
 	// Done after a checkpoint restore (closures cannot be serialized). A
@@ -87,6 +92,8 @@ type FixedLatencyMem struct {
 	order   []*fixedPort // deterministic tick order
 	cycle   int64
 	pending int // outstanding transactions across all ports (fast idle tick)
+	// rbuf is the buffer every read completion lends to its Done.
+	rbuf []byte
 }
 
 // NewFixedLatencyMem builds the backend over m with the given latency.
@@ -98,11 +105,16 @@ type fixedPort struct {
 	parent  *FixedLatencyMem
 	lastSub int64
 	queue   micronet.Queue[pendingReq]
+	// free recycles the write-payload copies of completed writes.
+	free [][]byte
 }
 
+// pendingReq is a queued transaction; data is the backend's own copy of a
+// write's payload, taken at Submit.
 type pendingReq struct {
 	req  *MemRequest
 	when int64
+	data []byte
 }
 
 // Port implements MemBackend.
@@ -122,7 +134,15 @@ func (p *fixedPort) Submit(req *MemRequest) bool {
 		return false
 	}
 	p.lastSub = p.parent.cycle
-	p.queue.Push(pendingReq{req: req, when: p.parent.cycle + int64(p.parent.Latency)})
+	pr := pendingReq{req: req, when: p.parent.cycle + int64(p.parent.Latency)}
+	if req.IsWrite && req.Data != nil {
+		buf := []byte{}
+		if n := len(p.free); n > 0 {
+			buf, p.free = p.free[n-1], p.free[:n-1]
+		}
+		pr.data = append(buf[:0], req.Data...)
+	}
+	p.queue.Push(pr)
 	p.parent.pending++
 	return true
 }
@@ -162,12 +182,19 @@ func (f *FixedLatencyMem) Tick() {
 			pr := p.queue.Pop()
 			f.pending--
 			if pr.req.IsWrite {
-				f.Mem.WriteBytes(pr.req.Addr, pr.req.Data)
+				f.Mem.WriteBytes(pr.req.Addr, pr.data)
+				if pr.data != nil {
+					p.free = append(p.free, pr.data)
+				}
 				if pr.req.Done != nil {
 					pr.req.Done(nil)
 				}
 			} else {
-				data := f.Mem.ReadBytes(pr.req.Addr, pr.req.N)
+				if cap(f.rbuf) < pr.req.N {
+					f.rbuf = make([]byte, pr.req.N)
+				}
+				data := f.rbuf[:pr.req.N]
+				f.Mem.ReadInto(pr.req.Addr, data)
 				if pr.req.Done != nil {
 					pr.req.Done(data)
 				}

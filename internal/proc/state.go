@@ -329,13 +329,7 @@ func (c *Core) ResolveOrigin(req *MemRequest) {
 	case OriginITRefill:
 		it := c.its[req.Origin.Tile]
 		blockAddr := req.Addr - uint64(it.id)*isa.ChunkBytes
-		req.Done = func(data []byte) {
-			it.active = true
-			it.chunks[blockAddr] = &itChunk{raw: data}
-			if st := it.refills[blockAddr]; st != nil {
-				st.ownDone = true
-			}
-		}
+		req.Done = func(data []byte) { it.chunkArrived(blockAddr, data) }
 	}
 }
 
@@ -1234,7 +1228,11 @@ func (f *FixedLatencyMem) SaveState(w *ckpt.Writer) {
 	for _, p := range f.order {
 		w.I64(p.lastSub)
 		p.queue.SaveState(w, func(w *ckpt.Writer, pr pendingReq) {
-			EncodeMemRequest(w, pr.req)
+			req := *pr.req
+			if req.IsWrite {
+				req.Data = pr.data // the payload as submitted
+			}
+			EncodeMemRequest(w, &req)
 			w.I64(pr.when)
 		})
 	}
@@ -1259,7 +1257,11 @@ func (f *FixedLatencyMem) LoadState(r *ckpt.Reader, res OriginResolver) {
 		p.lastSub = r.I64()
 		p.queue.LoadState(r, func(r *ckpt.Reader) pendingReq {
 			req := DecodeMemRequest(r, res)
-			return pendingReq{req: req, when: r.I64()}
+			pr := pendingReq{req: req, when: r.I64()}
+			if req.IsWrite {
+				pr.data = req.Data
+			}
+			return pr
 		})
 		f.pending += p.queue.Len()
 	}
